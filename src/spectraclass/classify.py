@@ -9,10 +9,8 @@ from typing import Optional
 
 from .errors import NoClasses, SpectraClassError
 from .fuzzy import eval_expr
-from .rulebase import RuleBase
+from .rulebase import UNK, RuleBase
 from .spectrum import Spectrum, normalize, parse_spectrum, peak_abundance
-
-UNK = "UNK"
 
 
 @dataclass(frozen=True)
@@ -56,29 +54,38 @@ def memberships(s: Spectrum, rb: RuleBase) -> MembershipVector:
     return MembershipVector.from_values(values)
 
 
-def harden(mv: MembershipVector, nu: float, unk_if_second_above: Optional[float] = None) -> Classification:
-    """Collapse a membership vector to a single label.
+def harden_values(values: dict, nu: float) -> tuple:
+    """The hardening rule: ``(label, confidence)`` for ``{code: membership}``.
 
     The argmax class wins when its membership reaches nu (inclusive);
-    otherwise the label is UNK with the complement confidence. Ties break
-    by class declaration order. ``unk_if_second_above`` optionally forces
-    UNK when a second class is also high (overlapping phases); off by
-    default since no standard threshold exists.
+    otherwise the label is UNK with confidence 1 - max. Ties break by the
+    dict's order, which callers keep in class declaration order.
     """
-    if not mv.values:
+    if not values:
         raise NoClasses("empty membership vector")
     best_code = None
     best = -1.0
-    for code, value in mv.values.items():
+    for code, value in values.items():
         if value > best:
             best_code, best = code, value
     if best < nu:
-        return Classification(UNK, mv.unk)
-    if unk_if_second_above is not None:
-        runner_up = max((v for c, v in mv.values.items() if c != best_code), default=0.0)
+        return UNK, 1.0 - best
+    return best_code, best
+
+
+def harden(mv: MembershipVector, nu: float, unk_if_second_above: Optional[float] = None) -> Classification:
+    """Collapse a membership vector to a single label by harden_values().
+
+    ``unk_if_second_above`` optionally forces UNK when a second class is
+    also high (overlapping phases); off by default since no standard
+    threshold exists.
+    """
+    label, confidence = harden_values(mv.values, nu)
+    if label != UNK and unk_if_second_above is not None:
+        runner_up = max((v for c, v in mv.values.items() if c != label), default=0.0)
         if runner_up >= unk_if_second_above:
-            return Classification(UNK, mv.unk)
-    return Classification(best_code, best)
+            return Classification(UNK, 1.0 - confidence)
+    return Classification(label, confidence)
 
 
 @dataclass
@@ -128,7 +135,8 @@ def classify_batch(sources, rb: RuleBase, workers: int = 1):
         return list(pool.map(one, sources))
 
 
-def _fmt(x: float) -> str:
+def fmt(x: float) -> str:
+    """Number format of every CSV output: up to six significant digits."""
     return format(x, ".6g")
 
 
@@ -137,11 +145,11 @@ def write_batch_csv(results, class_codes, stream) -> None:
     header = ["id", "x", "y", "label", "confidence"] + [f"mu_{c}" for c in class_codes]
     stream.write(",".join(header) + "\n")
     for r in results:
-        x = _fmt(r.position[0]) if r.position else ""
-        y = _fmt(r.position[1]) if r.position else ""
+        x = fmt(r.position[0]) if r.position else ""
+        y = fmt(r.position[1]) if r.position else ""
         if r.error is not None:
             row = [r.id, x, y, "ERROR", ""] + [""] * len(class_codes)
         else:
-            row = [r.id, x, y, r.classification.label, _fmt(r.classification.confidence)]
-            row += [_fmt(r.membership.values[c]) for c in class_codes]
+            row = [r.id, x, y, r.classification.label, fmt(r.classification.confidence)]
+            row += [fmt(r.membership.values[c]) for c in class_codes]
         stream.write(",".join(row) + "\n")

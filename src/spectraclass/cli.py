@@ -12,7 +12,7 @@ from pathlib import Path
 from . import pixmap, spatial, stats
 from .classify import UNK, classify_batch, harden, memberships, write_batch_csv
 from .errors import SpectraClassError
-from .rulebase import builtin_basalt, parse_rulebase, validate
+from .rulebase import builtin_basalt, parse_rulebase, require_valid, validate
 from .spectrum import normalize, parse_spectrum
 
 EX_OK = 0
@@ -32,7 +32,7 @@ class _ArgumentParser(argparse.ArgumentParser):
 
 
 def load_rules(spec: str, epsilon=None, nu=None):
-    """Resolve `builtin:basalt` or a DSL file path, applying CLI overrides."""
+    """Resolve `builtin:basalt` or a DSL file path, then apply and validate CLI overrides."""
     if spec == "builtin:basalt":
         rb = builtin_basalt()
     elif spec.startswith("builtin:"):
@@ -40,14 +40,10 @@ def load_rules(spec: str, epsilon=None, nu=None):
     else:
         rb = parse_rulebase(Path(spec).read_text(encoding="utf-8"))
     if epsilon is not None:
-        if epsilon <= 0:
-            raise SpectraClassError("--epsilon must be > 0")
         rb.options.epsilon = epsilon
     if nu is not None:
-        if not 0.0 <= nu <= 1.0:
-            raise SpectraClassError("--nu must be in [0,1]")
         rb.options.nu = nu
-    return rb
+    return require_valid(rb)
 
 
 def expand_inputs(patterns):
@@ -123,14 +119,20 @@ def cmd_stats(args) -> int:
     return EX_OK
 
 
+def _read_input(path, parse):
+    """``parse`` the text of ``path``; a ValueError becomes a fatal error naming the file."""
+    try:
+        return parse(Path(path).read_text(encoding="utf-8"))
+    except ValueError as exc:
+        raise SpectraClassError(f"{path}: {exc}") from None
+
+
 def cmd_map(args) -> int:
-    grid = spatial.read_grid_csv(Path(args.input).read_text(encoding="utf-8"))
+    grid = _read_input(args.input, spatial.read_grid_csv)
     if args.topology:
         grid.topology = {"rect": spatial.RECTANGULAR, "hex": spatial.HEXAGONAL}[args.topology]
     nu = args.nu if args.nu is not None else 0.5
-    palette = None
-    if args.palette:
-        palette = pixmap.load_palette(Path(args.palette).read_text(encoding="utf-8"))
+    palette = _read_input(args.palette, pixmap.load_palette) if args.palette else None
 
     pre = spatial.classify_spots(grid, nu)
     post = spatial.reclassify_map(grid, nu, floor=args.floor)
@@ -153,14 +155,11 @@ def cmd_map(args) -> int:
 
 def cmd_validate_rules(args) -> int:
     rb = load_rules(args.rules)
-    diags = validate(rb)
-    for d in diags:
+    warnings = validate(rb)  # load_rules raised on any error
+    for d in warnings:
         print(f"{d.severity}: {d.message}")
-    if any(d.severity == "error" for d in diags):
-        return EX_FATAL
-    n_warn = sum(1 for d in diags if d.severity == "warning")
     print(f"rule base {rb.name!r}: {len(rb.classes)} classes, "
-          f"{len(rb.ions)} ions, {n_warn} warnings")
+          f"{len(rb.ions)} ions, {len(warnings)} warnings")
     return EX_OK
 
 

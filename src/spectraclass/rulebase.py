@@ -7,12 +7,16 @@ titanium" becomes three terms and the expression ``fe and not_ti and ca``.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, field
+from importlib import resources
 
 from .errors import DuplicateName, ParseError, UnknownTerm
 from .fuzzy import And, MembershipFn, Not, Or, Term, term_names
 from .spectrum import IonTarget
+
+UNK = "UNK"  # label of a spectrum no class claims; reserved as a class code
 
 
 @dataclass
@@ -58,6 +62,7 @@ _TOKEN_RE = re.compile(
     r"|[A-Za-z_][A-Za-z0-9_]*"
     r"|[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?"
     r"|[(){}\[\]=,]"
+    r"|#.*"
     r"|\S"
 )
 
@@ -73,10 +78,11 @@ class _Token:
 def _tokenize(source):
     tokens = []
     for lineno, raw in enumerate(source.splitlines(), 1):
-        line = raw.split("#", 1)[0]
-        for m in _TOKEN_RE.finditer(line):
+        for m in _TOKEN_RE.finditer(raw):
             text = m.group(0)
             col = m.start() + 1
+            if text.startswith("#"):  # a comment, since strings match first
+                break
             if text.startswith('"'):
                 kind = "STRING"
             elif text[0].isalpha() or text[0] == "_":
@@ -274,11 +280,7 @@ def _flatten(children, node_type):
 
 def parse_rulebase(source: str) -> RuleBase:
     """Parse and validate rule-base DSL text."""
-    rb = _Parser(_tokenize(source)).rulebase()
-    errors = [d for d in validate(rb) if d.severity == "error"]
-    if errors:
-        raise ParseError("; ".join(d.message for d in errors))
-    return rb
+    return require_valid(_Parser(_tokenize(source)).rulebase())
 
 
 # ---------------------------------------------------------------------------
@@ -287,10 +289,12 @@ def parse_rulebase(source: str) -> RuleBase:
 def validate(rb: RuleBase):
     """Check structural invariants; returns diagnostics, never raises."""
     out = []
-    if rb.options.epsilon <= 0:
-        out.append(Diagnostic("error", f"epsilon must be > 0, got {rb.options.epsilon}"))
+    if not 0.0 < rb.options.epsilon < math.inf:
+        out.append(Diagnostic("error", f"epsilon must be finite and > 0, got {rb.options.epsilon}"))
     if not 0.0 <= rb.options.nu <= 1.0:
         out.append(Diagnostic("error", f"nu out of range [0,1]: {rb.options.nu}"))
+    if not rb.classes:
+        out.append(Diagnostic("error", "rule base has no classes"))
     for sym in rb.options.normalize_excluding:
         if sym not in rb.ions:
             out.append(Diagnostic("error", f"normalize_excluding names undeclared ion {sym!r}"))
@@ -299,6 +303,8 @@ def validate(rb: RuleBase):
             out.append(Diagnostic("error", f"ion {sym!r} has non-positive m/z {mz}"))
     seen = set()
     for cr in rb.classes:
+        if cr.code == UNK:
+            out.append(Diagnostic("error", f"class code {UNK!r} is reserved for the unknown label"))
         if cr.code in seen:
             out.append(Diagnostic("error", f"duplicate class code {cr.code!r}"))
         seen.add(cr.code)
@@ -311,13 +317,19 @@ def validate(rb: RuleBase):
             if name not in cr.terms:
                 out.append(Diagnostic("error", f"class {cr.code!r} expr references unknown term {name!r}"))
         for name, (ion, fn) in cr.terms.items():
-            if fn.l >= fn.h:
-                out.append(Diagnostic("error", f"class {cr.code!r} term {name!r} has l >= h"))
             if ion.symbol not in rb.ions:
                 out.append(Diagnostic("error", f"class {cr.code!r} term {name!r} uses undeclared ion {ion.symbol!r}"))
             if name not in used:
                 out.append(Diagnostic("warning", f"class {cr.code!r} declares unused term {name!r}"))
     return out
+
+
+def require_valid(rb: RuleBase) -> RuleBase:
+    """Return ``rb`` unchanged, or raise validate()'s errors as one ParseError."""
+    errors = [d.message for d in validate(rb) if d.severity == "error"]
+    if errors:
+        raise ParseError("; ".join(errors))
+    return rb
 
 
 # ---------------------------------------------------------------------------
@@ -370,68 +382,8 @@ def serialize_rulebase(rb: RuleBase) -> str:
 def builtin_basalt() -> RuleBase:
     """Four-class basalt classifier: ilmenite, augite, plagioclase, olivine.
 
-    Each "not" requirement is a single low-abundance term; olivine's
-    titanium and aluminum constraints reuse the same thresholds as the
-    ilmenite/plagioclase low terms (olivine carries little or none of
-    either metal, so a double negation reading would be inconsistent).
+    Parsed from the shipped ``data/basalt.rules``, the one definition of
+    these rules; each call returns a fresh, independently mutable copy.
     """
-    ions = {
-        "Mg": 24.312,
-        "Al": 26.982,
-        "Ca": 39.95,
-        "Ti": 47.95,
-        "Mn": 54.938,
-        "Fe": 55.954,
-    }
-
-    def ion(sym):
-        return IonTarget(sym, ions[sym])
-
-    ilm = ClassRule(
-        code="ILM",
-        display_name="Ilmenite",
-        terms={
-            "not_al": (ion("Al"), MembershipFn("low", 0.5, 15)),
-            "ti": (ion("Ti"), MembershipFn("high", 1, 17)),
-            "fe": (ion("Fe"), MembershipFn("high", 1, 40)),
-        },
-        expr=And((Term("fe"), Term("ti"), Term("not_al"))),
-    )
-    agt = ClassRule(
-        code="AGT",
-        display_name="Augite",
-        terms={
-            "ca": (ion("Ca"), MembershipFn("high", 50, 80)),
-            "not_ti": (ion("Ti"), MembershipFn("low", 1, 17)),
-            "fe": (ion("Fe"), MembershipFn("high", 1, 30)),
-        },
-        expr=And((Term("fe"), Term("not_ti"), Term("ca"))),
-    )
-    plg = ClassRule(
-        code="PLG",
-        display_name="Plagioclase",
-        terms={
-            "al": (ion("Al"), MembershipFn("high", 0.5, 15)),
-            "not_ti": (ion("Ti"), MembershipFn("low", 1, 17)),
-            "not_fe": (ion("Fe"), MembershipFn("low", 10, 40)),
-        },
-        expr=And((Term("al"), Term("not_fe"), Term("not_ti"))),
-    )
-    olv = ClassRule(
-        code="OLV",
-        display_name="Olivine",
-        terms={
-            "mg": (ion("Mg"), MembershipFn("high", 1, 50)),
-            "not_al": (ion("Al"), MembershipFn("low", 0.5, 15)),
-            "not_ti": (ion("Ti"), MembershipFn("low", 1, 17)),
-            "mn": (ion("Mn"), MembershipFn("high", 10, 40)),
-            "fe": (ion("Fe"), MembershipFn("high", 10, 40)),
-        },
-        expr=And((Or((Term("mg"), Term("mn"), Term("fe"))), Term("not_ti"), Term("not_al"))),
-    )
-    return RuleBase(
-        name="basalt",
-        ions=ions,
-        classes=[ilm, agt, plg, olv],
-        options=Options(epsilon=0.2, nu=0.5, normalize_excluding=()),
-    )
+    text = resources.files(__package__).joinpath("data/basalt.rules").read_text(encoding="utf-8")
+    return parse_rulebase(text)

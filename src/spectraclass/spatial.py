@@ -2,11 +2,12 @@
 
 from __future__ import annotations
 
+import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
-from .classify import UNK, _fmt
+from .classify import UNK, fmt, harden_values
 from .errors import BadIndex, ParseError
 
 RECTANGULAR = "rectangular"
@@ -34,7 +35,6 @@ class SampleGrid:
     cols: int
     spots: list
     class_codes: list
-    spacing: float = 1.0
 
     def __post_init__(self):
         if self.topology not in (RECTANGULAR, HEXAGONAL):
@@ -42,6 +42,10 @@ class SampleGrid:
         if len(self.spots) != self.rows * self.cols:
             raise ValueError(
                 f"expected {self.rows * self.cols} spots, got {len(self.spots)}")
+        # harden_values breaks ties in dict order: keep class_codes order.
+        for spot in self.spots:
+            if list(spot.membership) != self.class_codes:
+                spot.membership = {c: spot.membership[c] for c in self.class_codes}
 
     def index(self, row: int, col: int) -> int:
         return row * self.cols + col
@@ -96,24 +100,9 @@ class ClassificationMap:
     topology: str
 
 
-def _argmax(values_by_code, codes):
-    best_code, best = None, -1.0
-    for code in codes:
-        v = values_by_code[code]
-        if v > best:
-            best_code, best = code, v
-    return best_code, best
-
-
 def classify_spots(grid: SampleGrid, nu: float) -> ClassificationMap:
     """Hard classification of every spot from raw memberships only."""
-    cells = []
-    for spot in grid.spots:
-        code, best = _argmax(spot.membership, grid.class_codes)
-        if best >= nu:
-            cells.append(MapCell(code, best))
-        else:
-            cells.append(MapCell(UNK, 1.0 - best))
+    cells = [MapCell(*harden_values(spot.membership, nu)) for spot in grid.spots]
     return ClassificationMap(cells, list(grid.class_codes), grid.rows, grid.cols, grid.topology)
 
 
@@ -124,29 +113,27 @@ def reclassify_map(grid: SampleGrid, nu: float, floor: Optional[float] = None) -
     the argmax over neighbor-smoothed memberships instead; smoothing reads
     raw values only, in one pass, so it never cascades. The smoothed pick
     always yields a class; ``floor`` optionally keeps a spot UNK when even
-    the best smoothed value stays below it (off by default). The stored
-    confidence of a neighbor-assigned cell is the smoothed value and may
-    exceed 1.
+    the best smoothed value stays below it (off by default), with the raw
+    confidence 1 - raw best. The stored confidence of a neighbor-assigned
+    class is the smoothed value and may exceed 1.
     """
+    smoothed_nu = -math.inf if floor is None else floor
     cells = []
     for i, spot in enumerate(grid.spots):
-        code, best = _argmax(spot.membership, grid.class_codes)
-        if best >= nu:
-            cells.append(MapCell(code, best))
+        label, confidence = harden_values(spot.membership, nu)
+        if label != UNK:
+            cells.append(MapCell(label, confidence))
             continue
         smoothed = {c: smoothed_membership(grid, i, c) for c in grid.class_codes}
-        code, sbest = _argmax(smoothed, grid.class_codes)
-        if floor is not None and sbest < floor:
-            cells.append(MapCell(UNK, 1.0 - best, neighbor_assigned=True))
-        else:
-            cells.append(MapCell(code, sbest, neighbor_assigned=True))
+        code, sbest = harden_values(smoothed, smoothed_nu)
+        cells.append(MapCell(code, confidence if code == UNK else sbest, neighbor_assigned=True))
     return ClassificationMap(cells, list(grid.class_codes), grid.rows, grid.cols, grid.topology)
 
 
 # ---------------------------------------------------------------------------
 # Grid CSV interchange: classify-batch CSV prefixed with topology headers.
 
-_HEADER_RE = re.compile(r"#\s*(topology|rows|cols|spacing)\s*:\s*(\S+)")
+_HEADER_RE = re.compile(r"#\s*(topology|rows|cols)\s*:\s*(\S+)")
 
 
 def read_grid_csv(text: str) -> SampleGrid:
@@ -175,7 +162,6 @@ def read_grid_csv(text: str) -> SampleGrid:
         cols = int(meta["cols"])
     except ValueError:
         raise ParseError("rows/cols headers must be integers") from None
-    spacing = float(meta.get("spacing", 1.0))
 
     if not body:
         raise ParseError("grid file has no data rows")
@@ -198,13 +184,13 @@ def read_grid_csv(text: str) -> SampleGrid:
         except ValueError:
             raise ParseError("non-numeric field in grid row", line=lineno) from None
         spots.append(Spot(membership, id=fields[idx["id"]] if "id" in idx else "", x=x, y=y))
-    return SampleGrid(topology, rows, cols, spots, class_codes, spacing=spacing)
+    return SampleGrid(topology, rows, cols, spots, class_codes)
 
 
 def write_map_csv(grid: SampleGrid, cmap: ClassificationMap, stream) -> None:
     stream.write("x,y,label,confidence,neighbor_assigned\n")
     for spot, cell in zip(grid.spots, cmap.cells):
         stream.write(",".join([
-            _fmt(spot.x), _fmt(spot.y), cell.label, _fmt(cell.confidence),
+            fmt(spot.x), fmt(spot.y), cell.label, fmt(cell.confidence),
             "true" if cell.neighbor_assigned else "false",
         ]) + "\n")

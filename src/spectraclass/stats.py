@@ -11,6 +11,7 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass
 
+from .classify import fmt
 from .errors import EmptyEnsemble, IncompatibleDBs
 from .spectrum import Spectrum
 
@@ -199,18 +200,12 @@ def class_vs_ensemble_report(class_db: StatDB, ensemble_db: StatDB,
     return rows
 
 
-def _fmt(x: float) -> str:
-    if math.isinf(x):
-        return "inf"
-    return format(x, ".6g")
-
-
 def write_report_csv(rows, stream) -> None:
     stream.write("phi,class_mean,ensemble_mean,ratio,count,n_spectra,flag\n")
     for r in rows:
         stream.write(",".join([
-            _fmt(r.phi), _fmt(r.class_mean), _fmt(r.ensemble_mean),
-            _fmt(r.ratio), str(r.count), str(r.n_spectra), r.flag,
+            fmt(r.phi), fmt(r.class_mean), fmt(r.ensemble_mean),
+            fmt(r.ratio), str(r.count), str(r.n_spectra), r.flag,
         ]) + "\n")
 
 
@@ -220,5 +215,5 @@ def render_histogram(rows, width: int = 40, cap: float = 5.0) -> str:
     for r in rows:
         ratio = min(r.ratio, cap)
         bar = "#" * max(1, round(ratio / cap * width)) if r.ratio > 0 else ""
-        lines.append(f"{r.phi:10.3f} |{bar:<{width}}| {_fmt(r.ratio):>8} {r.flag}")
+        lines.append(f"{r.phi:10.3f} |{bar:<{width}}| {fmt(r.ratio):>8} {r.flag}")
     return "\n".join(lines)

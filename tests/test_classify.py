@@ -8,6 +8,7 @@ from spectraclass.classify import (
     MembershipVector,
     classify_batch,
     harden,
+    harden_values,
     memberships,
 )
 from spectraclass.errors import NoClasses
@@ -91,6 +92,14 @@ class TestHarden:
         mv = MembershipVector.from_values({"A": 0.9, "B": 0.85})
         assert harden(mv, 0.5).label == "A"
         assert harden(mv, 0.5, unk_if_second_above=0.8).label == "UNK"
+
+    def test_plain_dict_rule(self):
+        assert harden_values({"B": 0.7, "A": 0.7}, 0.5) == ("B", 0.7)
+        label, confidence = harden_values({"A": 0.2, "B": 0.4}, 0.5)
+        assert label == "UNK"
+        assert confidence == pytest.approx(0.6, abs=1e-12)
+        with pytest.raises(NoClasses):
+            harden_values({}, 0.5)
 
 
 class TestBatch:

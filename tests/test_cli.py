@@ -72,6 +72,13 @@ class TestClassifyCmd:
         main(["classify", str(spectra_dir / "*.csv"), "--workers", "8", "--out", str(out2)])
         assert out1.read_bytes() == out2.read_bytes()
 
+    @pytest.mark.parametrize("flag", ["--epsilon", "--nu"])
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_override_fatal(self, spectra_dir, capsys, flag, value):
+        code = main(["classify", str(spectra_dir / "agt.csv"), flag, value])
+        assert code == EX_FATAL
+        assert flag[2:] in capsys.readouterr().err
+
 
 class TestStatsCmd:
     def test_group_by_label(self, spectra_dir, tmp_path, capsys):
@@ -179,6 +186,32 @@ class TestMapCmd:
         ppm = (out / "post.ppm").read_bytes()
         assert b"\xff\x00\x00" in ppm
 
+    def _fatal(self, argv, capsys, needle):
+        assert main(argv) == EX_FATAL
+        err = capsys.readouterr().err
+        assert err.startswith("spectraclass: error: ") and needle in err
+
+    def test_bad_topology_fatal(self, tmp_path, capsys):
+        grid = grid_file(tmp_path, topology="tri")
+        self._fatal(["map", str(grid), "--out", str(tmp_path / "m")], capsys, "topology")
+
+    def test_spot_count_mismatch_fatal(self, tmp_path, capsys):
+        grid = grid_file(tmp_path)
+        grid.write_text(grid.read_text().replace("# rows: 3", "# rows: 4"))
+        self._fatal(["map", str(grid), "--out", str(tmp_path / "m")], capsys, "expected 12 spots")
+
+    def test_bad_palette_fatal(self, tmp_path, capsys):
+        grid = grid_file(tmp_path)
+        pal = tmp_path / "pal.txt"
+        pal.write_text("A 300 0 0\n")
+        self._fatal(["map", str(grid), "--palette", str(pal), "--out", str(tmp_path / "m")],
+                    capsys, "pal.txt: palette line 1")
+
+    def test_spacing_header_ignored(self, tmp_path):
+        grid = grid_file(tmp_path)
+        grid.write_text("# spacing: wide\n" + grid.read_text())
+        assert main(["map", str(grid), "--out", str(tmp_path / "m")]) == EX_OK
+
 
 class TestValidateCmd:
     def test_builtin_ok(self, capsys):
@@ -190,6 +223,16 @@ class TestValidateCmd:
                        'class X "x" {\n  term fe = high ( Fe , l = 1 , h = 40 )\n'
                        "  expr = nope\n}\n")
         assert main(["validate-rules", "--rules", str(bad)]) == EX_FATAL
+
+    @pytest.mark.parametrize("text", [
+        'rulebase "empty"\n',
+        'rulebase "x"\nion Fe = 55.954\n'
+        'class UNK "unknown" {\n  term fe = high ( Fe , l = 1 , h = 40 )\n  expr = fe\n}\n',
+    ])
+    def test_unusable_rules_fatal(self, tmp_path, text):
+        rules = tmp_path / "r.rules"
+        rules.write_text(text)
+        assert main(["validate-rules", "--rules", str(rules)]) == EX_FATAL
 
 
 class TestUsage:

@@ -104,6 +104,20 @@ class TestParser:
         with pytest.raises(ParseError):
             parse_rulebase(src)
 
+    def test_hash_inside_string_is_not_a_comment(self):
+        src = MINIMAL.replace('"tiny"', '"a#b"  # trailing comment').replace('"X-phase"', '"X #1"')
+        rb = parse_rulebase(src)
+        assert (rb.name, rb.classes[0].display_name) == ("a#b", "X #1")
+        assert parse_rulebase(serialize_rulebase(rb)) == rb
+
+    def test_unk_class_code_rejected(self):
+        with pytest.raises(ParseError, match="reserved"):
+            parse_rulebase(MINIMAL.replace('class X "', 'class UNK "'))
+
+    def test_empty_rulebase_rejected(self):
+        with pytest.raises(ParseError, match="no classes"):
+            parse_rulebase('rulebase "empty"\nion Fe = 55.954\n')
+
 
 class TestBuiltin:
     def test_four_classes(self):
@@ -128,6 +142,13 @@ class TestBuiltin:
     def test_shipped_file_matches_builtin(self):
         text = resources.files("spectraclass").joinpath("data/basalt.rules").read_text()
         assert parse_rulebase(text) == builtin_basalt()
+
+    def test_each_call_is_a_fresh_copy(self):
+        rb = builtin_basalt()
+        rb.options.nu = 0.9
+        rb.classes.pop()
+        assert builtin_basalt().options.nu == 0.5
+        assert len(builtin_basalt().classes) == 4
 
 
 class TestRoundTrip:
@@ -171,3 +192,9 @@ class TestValidate:
         diags = validate(rb)
         assert any(d.severity == "warning" and "extra" in d.message for d in diags)
         assert not any(d.severity == "error" for d in diags)
+
+    @pytest.mark.parametrize("field", ["epsilon", "nu"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_options(self, field, value):
+        diags = validate(self._tiny(**{field: value}))
+        assert any(d.severity == "error" and field in d.message for d in diags)

@@ -113,6 +113,23 @@ class TestReclassify:
         cmap = reclassify_map(grid_from(3, 3, ms), 0.5, floor=0.1)
         assert all(c.label == "UNK" for c in cmap.cells)
 
+    def test_floor_kept_unk_confidence_is_raw_complement(self):
+        ms = [{"ILM": 0.01, "AGT": 0.02, "PLG": 0.0, "OLV": 0.0} for _ in range(9)]
+        cmap = reclassify_map(grid_from(3, 3, ms), 0.5, floor=0.1)
+        # 1 - raw best (0.02), not 1 - smoothed best (0.04)
+        assert all(c.confidence == pytest.approx(0.98, abs=1e-12) for c in cmap.cells)
+        assert all(c.neighbor_assigned for c in cmap.cells)
+
+    def test_ties_break_in_class_code_order(self):
+        # dict order is the reverse of CODES; CODES order must win
+        confident = [{"OLV": 0.0, "PLG": 0.0, "AGT": 0.8, "ILM": 0.8}] * 4
+        pre = classify_spots(grid_from(2, 2, confident), 0.5)
+        assert [c.label for c in pre.cells] == ["ILM"] * 4
+        weak = [{"OLV": 0.0, "PLG": 0.0, "AGT": 0.2, "ILM": 0.2}] * 4
+        post = reclassify_map(grid_from(2, 2, weak), 0.5)
+        assert [c.label for c in post.cells] == ["ILM"] * 4
+        assert all(c.confidence == pytest.approx(0.4, abs=1e-12) for c in post.cells)
+
     def test_confident_spots_never_relabeled(self):
         rng = random.Random(17)
         for _ in range(200):
