@@ -10,7 +10,7 @@ from typing import Optional
 from .errors import NoClasses, SpectraClassError
 from .fuzzy import eval_expr
 from .rulebase import UNK, RuleBase
-from .spectrum import Spectrum, normalize, parse_spectrum, peak_abundance
+from .spectrum import Spectrum, parse_spectrum, peak_abundance, scale_factor
 
 
 @dataclass(frozen=True)
@@ -36,20 +36,25 @@ class Classification:
 def memberships(s: Spectrum, rb: RuleBase) -> MembershipVector:
     """Full fuzzy evaluation of one spectrum.
 
-    The spectrum is first rescaled per the rule base's normalization
-    options, then every class expression is evaluated from windowed
-    peak lookups through its membership terms.
+    Every class expression is evaluated from windowed peak lookups
+    through its membership terms, on the scale set by the rule base's
+    normalization options. Each distinct ion is looked up once, on the
+    raw points, and rescaled by scale_factor(): the same value, bit for
+    bit, as a lookup in the normalized spectrum.
     """
     if not rb.classes:
         raise NoClasses("rule base has no classes")
-    s = normalize(s, rb.excluded_ions(), rb.options.epsilon)
     eps = rb.options.epsilon
+    factor = scale_factor(s, rb.excluded_ions(), eps)
+    abundance = {}  # ion m/z -> normalized windowed abundance
     values = {}
     for cr in rb.classes:
-        env = {
-            name: fn(peak_abundance(s, ion, eps))
-            for name, (ion, fn) in cr.terms.items()
-        }
+        env = {}
+        for name, (ion, fn) in cr.terms.items():
+            p = abundance.get(ion.mz)
+            if p is None:
+                p = abundance[ion.mz] = peak_abundance(s, ion, eps) * factor
+            env[name] = fn(p)
         values[cr.code] = eval_expr(cr.expr, env)
     return MembershipVector.from_values(values)
 
@@ -97,16 +102,23 @@ class BatchResult:
     error: Optional[str] = None
 
 
-def _resolve(source):
-    """Accept a Spectrum, an (id, text) pair, or a file path."""
+def _source_id(source) -> str:
+    """The id of a Spectrum, an (id, text) pair, or a file path (its stem)."""
     if isinstance(source, Spectrum):
-        return source.id, source
+        return source.id
     if isinstance(source, tuple):
-        sid, text = source
-        return sid, parse_spectrum(text, id=sid)
-    path = Path(source)
-    text = path.read_text(encoding="utf-8")
-    return path.stem, parse_spectrum(text, id=path.stem)
+        return source[0] if source else ""
+    return Path(source).stem
+
+
+def _resolve(source, sid: str) -> Spectrum:
+    if isinstance(source, Spectrum):
+        return source
+    if isinstance(source, tuple):
+        _, text = source
+    else:
+        text = Path(source).read_text(encoding="utf-8")
+    return parse_spectrum(text, id=sid)
 
 
 def classify_batch(sources, rb: RuleBase, workers: int = 1):
@@ -119,14 +131,12 @@ def classify_batch(sources, rb: RuleBase, workers: int = 1):
     nu = rb.options.nu
 
     def one(source):
-        sid = ""
+        sid = _source_id(source)
         try:
-            sid, s = _resolve(source)
+            s = _resolve(source, sid)
             mv = memberships(s, rb)
             return BatchResult(sid, mv, harden(mv, nu), position=s.position)
         except (SpectraClassError, OSError, ValueError) as exc:
-            if not sid and not isinstance(source, (Spectrum, tuple)):
-                sid = Path(source).stem
             return BatchResult(sid, None, None, error=str(exc))
 
     if workers == 1:

@@ -120,18 +120,20 @@ def cmd_stats(args) -> int:
 
 
 def _read_input(path, parse):
-    """``parse`` the text of ``path``; a ValueError becomes a fatal error naming the file."""
+    """``parse`` the text of ``path``; a parse failure becomes a fatal error naming the file."""
     try:
         return parse(Path(path).read_text(encoding="utf-8"))
-    except ValueError as exc:
+    except (ValueError, SpectraClassError) as exc:
         raise SpectraClassError(f"{path}: {exc}") from None
 
 
 def cmd_map(args) -> int:
+    nu = args.nu if args.nu is not None else 0.5
+    if not 0.0 <= nu <= 1.0:  # also false for nan
+        raise SpectraClassError(f"--nu must be in [0,1], got {nu}")
     grid = _read_input(args.input, spatial.read_grid_csv)
     if args.topology:
         grid.topology = {"rect": spatial.RECTANGULAR, "hex": spatial.HEXAGONAL}[args.topology]
-    nu = args.nu if args.nu is not None else 0.5
     palette = _read_input(args.palette, pixmap.load_palette) if args.palette else None
 
     pre = spatial.classify_spots(grid, nu)

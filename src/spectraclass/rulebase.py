@@ -301,6 +301,8 @@ def validate(rb: RuleBase):
     for sym, mz in rb.ions.items():
         if mz <= 0:
             out.append(Diagnostic("error", f"ion {sym!r} has non-positive m/z {mz}"))
+        elif not mz < math.inf:
+            out.append(Diagnostic("error", f"ion {sym!r} has non-finite m/z {mz}"))
     seen = set()
     for cr in rb.classes:
         if cr.code == UNK:
@@ -319,6 +321,9 @@ def validate(rb: RuleBase):
         for name, (ion, fn) in cr.terms.items():
             if ion.symbol not in rb.ions:
                 out.append(Diagnostic("error", f"class {cr.code!r} term {name!r} uses undeclared ion {ion.symbol!r}"))
+            if not (math.isfinite(fn.l) and math.isfinite(fn.h)):
+                out.append(Diagnostic("error", f"class {cr.code!r} term {name!r} has a non-finite "
+                                               f"threshold: l={fn.l}, h={fn.h}"))
             if name not in used:
                 out.append(Diagnostic("warning", f"class {cr.code!r} declares unused term {name!r}"))
     return out

@@ -170,7 +170,11 @@ def read_grid_csv(text: str) -> SampleGrid:
     class_codes = [c[3:] for c in columns if c.startswith("mu_")]
     if not class_codes:
         raise ParseError("no mu_<CLASS> columns in grid CSV", line=head_line)
+    if UNK in class_codes:
+        raise ParseError(f"column mu_{UNK}: {UNK} is the unknown label, not a class",
+                         line=head_line)
     idx = {name: k for k, name in enumerate(columns)}
+    mu_columns = [(c, idx[f"mu_{c}"]) for c in class_codes]
 
     spots = []
     for lineno, line in body[1:]:
@@ -178,11 +182,14 @@ def read_grid_csv(text: str) -> SampleGrid:
         if len(fields) != len(columns):
             raise ParseError(f"expected {len(columns)} fields", line=lineno)
         try:
-            membership = {c: float(fields[idx[f"mu_{c}"]]) for c in class_codes}
+            membership = {c: float(fields[k]) for c, k in mu_columns}
             x = float(fields[idx["x"]]) if "x" in idx and fields[idx["x"]] else 0.0
             y = float(fields[idx["y"]]) if "y" in idx and fields[idx["y"]] else 0.0
         except ValueError:
             raise ParseError("non-numeric field in grid row", line=lineno) from None
+        for c, mu in membership.items():
+            if not 0.0 <= mu <= 1.0:  # also false for nan
+                raise ParseError(f"mu_{c} = {mu} is outside [0,1]", line=lineno)
         spots.append(Spot(membership, id=fields[idx["id"]] if "id" in idx else "", x=x, y=y))
     return SampleGrid(topology, rows, cols, spots, class_codes)
 

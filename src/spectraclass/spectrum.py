@@ -31,9 +31,9 @@ class IonTarget:
 class Spectrum:
     """One acquisition spot: relative abundance versus m/z.
 
-    Points are strictly sorted ascending by m/z with no duplicates;
-    abundances are non-negative. Instances are immutable, so they are
-    safe to share across parallel classification workers.
+    Points are finite and strictly sorted ascending by m/z with no
+    duplicates; abundances are non-negative. Instances are immutable, so
+    they are safe to share across parallel classification workers.
     """
 
     points: tuple
@@ -49,9 +49,18 @@ class Spectrum:
                 raise DomainError(f"negative abundance {ab} at m/z {mz}")
             if mz <= 0:
                 raise DomainError(f"non-positive m/z {mz}")
+            if not (ab < math.inf and mz < math.inf):
+                raise DomainError(f"non-finite point ({mz}, {ab})")
             if i > 0 and mz <= pts[i - 1][0]:
                 raise DomainError("points must be strictly sorted by m/z")
         object.__setattr__(self, "points", pts)
+
+    @classmethod
+    def _trusted(cls, points: tuple, id: str = "", position=None) -> "Spectrum":
+        """A Spectrum from float points that already meet the invariants, unchecked."""
+        s = object.__new__(cls)
+        s.__dict__.update(points=points, id=id, position=position)
+        return s
 
     @cached_property
     def mzs(self):
@@ -68,6 +77,9 @@ def parse_spectrum(source, format="csv", id="", position=None) -> Spectrum:
     ``csv`` expects ``mz,abundance`` per line; ``msp-like`` expects two
     whitespace-separated columns. Blank lines and ``#`` comments are
     skipped. Duplicate m/z rows merge keeping the maximum abundance.
+
+    Each row is checked once, here; the Spectrum is built from the
+    checked points without a second validating pass.
     """
     if hasattr(source, "read"):
         text = source.read()
@@ -77,13 +89,14 @@ def parse_spectrum(source, format="csv", id="", position=None) -> Spectrum:
         text = "\n".join(source)
     if format not in ("csv", "msp-like"):
         raise ValueError(f"unknown spectrum format {format!r}")
+    sep = "," if format == "csv" else None
 
-    rows: dict = {}
+    pts = []
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
-        if not line or line.startswith("#"):
+        if not line or line[0] == "#":
             continue
-        parts = line.split(",") if format == "csv" else line.split()
+        parts = line.split(sep)
         if len(parts) != 2:
             raise ParseError(f"expected 2 fields, got {len(parts)}", line=lineno)
         try:
@@ -91,14 +104,27 @@ def parse_spectrum(source, format="csv", id="", position=None) -> Spectrum:
             ab = float(parts[1])
         except ValueError:
             raise ParseError(f"non-numeric field in {line!r}", line=lineno) from None
-        if ab < 0:
-            raise DomainError(f"negative abundance on line {lineno}")
-        if mz <= 0:
-            raise DomainError(f"non-positive m/z on line {lineno}")
-        rows[mz] = max(rows.get(mz, 0.0), ab)
-    if not rows:
+        if not (0.0 <= ab < math.inf and 0.0 < mz < math.inf):
+            raise _bad_row(mz, ab, lineno)
+        pts.append((mz, ab + 0.0))  # + 0.0 reads an abundance of -0 as 0
+    if not pts:
         raise EmptySpectrum("no peaks in input")
-    return Spectrum(tuple(sorted(rows.items())), id=id, position=position)
+    pts.sort()
+    # Sorted by (m/z, abundance), so the last row of each m/z, the one
+    # dict() keeps, carries its maximum abundance.
+    merged = dict(pts)
+    points = tuple(pts) if len(merged) == len(pts) else tuple(merged.items())
+    return Spectrum._trusted(points, id=id, position=position)
+
+
+def _bad_row(mz: float, ab: float, lineno: int) -> DomainError:
+    if ab < 0:
+        return DomainError(f"negative abundance on line {lineno}")
+    if mz <= 0:
+        return DomainError(f"non-positive m/z on line {lineno}")
+    if not ab < math.inf:
+        return DomainError(f"non-finite abundance on line {lineno}")
+    return DomainError(f"non-finite m/z on line {lineno}")
 
 
 def serialize_spectrum(s: Spectrum) -> str:
@@ -113,26 +139,41 @@ def normalize(s: Spectrum, excluded: Iterable[IonTarget] = (), eps: float = 0.2)
     their relative size and may land above 100. Used to discount the
     anomalously strong potassium signal before classification.
     """
+    factor = scale_factor(s, excluded, eps)
+    # scale_factor() keeps every scaled point finite; a positive factor
+    # keeps them sorted and non-negative.
+    return Spectrum._trusted(tuple((mz, ab * factor) for mz, ab in s.points),
+                             id=s.id, position=s.position)
+
+
+def scale_factor(s: Spectrum, excluded: Iterable[IonTarget] = (), eps: float = 0.2) -> float:
+    """The factor normalize() multiplies every abundance by: 100 / reference.
+
+    The reference is the highest peak outside every excluded ion's closed
+    window ``abs(mz - ion.mz) <= eps``. Since x -> x * factor is monotone
+    under rounding, a windowed maximum of the normalized spectrum equals
+    the raw windowed maximum times this factor, bit for bit. A factor that
+    would scale an (excluded) peak past the float range is refused.
+    """
     excluded = list(excluded)
-
-    def is_excluded(mz):
-        return any(abs(mz - ion.mz) <= eps for ion in excluded)
-
-    ref = 0.0
-    have_candidate = False
-    for mz, ab in s.points:
-        if not is_excluded(mz):
-            have_candidate = True
-            ref = max(ref, ab)
-    if not have_candidate:
-        raise CannotNormalize("all points fall within excluded ion windows")
+    if excluded:
+        ref = None
+        for mz, ab in s.points:
+            # Only a point that would raise the reference needs the window test.
+            if (ref is None or ab > ref) and not any(abs(mz - ion.mz) <= eps for ion in excluded):
+                ref = ab
+        if ref is None:
+            raise CannotNormalize("all points fall within excluded ion windows")
+    else:
+        ref = s.max_abundance
     if ref == 0.0:
         raise CannotNormalize("all non-excluded abundances are zero")
     factor = FULL_SCALE / ref
     if not math.isfinite(factor):
         raise CannotNormalize(f"reference abundance {ref} yields a non-finite scale factor")
-    pts = tuple((mz, ab * factor) for mz, ab in s.points)
-    return Spectrum(pts, id=s.id, position=s.position)
+    if not s.max_abundance * factor < math.inf:
+        raise CannotNormalize(f"peak abundance {s.max_abundance} overflows when scaled by {factor}")
+    return factor
 
 
 def peak_abundance(s: Spectrum, chi: IonTarget, eps: float) -> float:

@@ -1,8 +1,12 @@
+import io
+import math
 import random
+import re
 
 import pytest
+from hypothesis import given, strategies as st
 
-from conftest import make_spectrum, spectrum_csv
+from conftest import ION_MZ, make_spectrum, spectrum_csv
 from spectraclass.classify import (
     Classification,
     MembershipVector,
@@ -10,8 +14,12 @@ from spectraclass.classify import (
     harden,
     harden_values,
     memberships,
+    write_batch_csv,
 )
-from spectraclass.errors import NoClasses
+from spectraclass.errors import CannotNormalize, NoClasses
+from spectraclass.fuzzy import eval_expr
+from spectraclass.rulebase import builtin_basalt
+from spectraclass.spectrum import Spectrum, normalize, peak_abundance
 
 
 class TestMemberships:
@@ -50,6 +58,57 @@ class TestMemberships:
             hi = make_spectrum(bumped)
             # Ca is a positive (high) requirement of AGT only
             assert memberships(hi, basalt).values["AGT"] >= memberships(lo, basalt).values["AGT"] - 1e-12
+
+
+def composed_memberships(s, rb):
+    """The reference: normalize, then look every term's ion up, then evaluate."""
+    eps = rb.options.epsilon
+    n = normalize(s, rb.excluded_ions(), eps)
+    return {cr.code: eval_expr(cr.expr, {name: fn(peak_abundance(n, ion, eps))
+                                         for name, (ion, fn) in cr.terms.items()})
+            for cr in rb.classes}
+
+
+@st.composite
+def rule_base_and_spectrum(draw):
+    """Basalt with a drawn epsilon and excluded ions, and a spectrum with
+    points on and next to the edges of the ion windows."""
+    rb = builtin_basalt()
+    rb.ions["K"] = ION_MZ["K"]
+    rb.options.epsilon = eps = draw(st.sampled_from([0.05, 0.1, 0.2, 0.3, 1.0]))
+    rb.options.normalize_excluding = tuple(draw(st.lists(
+        st.sampled_from(["K", "Ca", "Fe", "Ti"]), max_size=2, unique=True)))
+    points = {}
+    for mz in rb.ions.values():
+        for edge in (mz - eps, mz, mz + eps):
+            step = draw(st.sampled_from([None, -1, 0, 1]))
+            if step is not None:
+                at = edge if step == 0 else math.nextafter(edge, math.inf * step)
+                points[at] = draw(st.floats(0.0, 200.0))
+    if draw(st.booleans()):
+        points[200.0] = draw(st.floats(0.0, 200.0))
+    if not points:
+        points[ION_MZ["K"]] = draw(st.floats(0.0, 200.0))
+    return rb, Spectrum(tuple(sorted(points.items())))
+
+
+class TestMembershipsEquivalence:
+    @given(rule_base_and_spectrum())
+    def test_equals_normalize_then_lookup(self, case):
+        rb, s = case
+        try:
+            expected = composed_memberships(s, rb)
+        except CannotNormalize as exc:
+            with pytest.raises(CannotNormalize, match=f"^{re.escape(str(exc))}$"):
+                memberships(s, rb)
+            return
+        assert memberships(s, rb).values == expected
+
+    def test_stats_double_normalization_path(self, basalt):
+        # stats classifies spectra it has already normalized
+        s = make_spectrum({"Ca": 70.3, "Fe": 20.7, "Ti": 3.1}, filler=37.9)
+        n = normalize(s)
+        assert memberships(n, basalt).values == composed_memberships(n, basalt)
 
 
 class TestHarden:
@@ -134,3 +193,13 @@ class TestBatch:
         parallel = classify_batch(sources, basalt, workers=8)
         assert [(r.id, r.classification.label, r.membership.values) for r in serial] == \
                [(r.id, r.classification.label, r.membership.values) for r in parallel]
+
+    @pytest.mark.parametrize("row", ["55.954,nan", "55.954,inf", "nan,40", "inf,40"])
+    def test_non_finite_peak_is_an_error_row(self, basalt, row):
+        good = spectrum_csv({"Al": 20})
+        results = classify_batch([("good", good), ("bad", "200,100\n" + row + "\n")], basalt)
+        assert results[0].error is None
+        assert results[1].membership is None and "on line 2" in results[1].error
+        out = io.StringIO()
+        write_batch_csv(results, basalt.class_codes(), out)
+        assert out.getvalue().splitlines()[2] == "bad,,,ERROR,,,,,"

@@ -207,6 +207,25 @@ class TestMapCmd:
         self._fatal(["map", str(grid), "--palette", str(pal), "--out", str(tmp_path / "m")],
                     capsys, "pal.txt: palette line 1")
 
+    @pytest.mark.parametrize("mu", ["7.0", "-0.1", "nan", "inf"])
+    def test_membership_outside_unit_interval_fatal(self, tmp_path, capsys, mu):
+        grid = grid_file(tmp_path)
+        grid.write_text(grid.read_text().replace("s4,1,1,X,0,0,0.3", f"s4,1,1,X,0,0,{mu}"))
+        self._fatal(["map", str(grid), "--out", str(tmp_path / "m")], capsys,
+                    f"grid.csv: mu_AGT = {float(mu)} is outside [0,1] (line 9)")
+
+    def test_unk_column_fatal(self, tmp_path, capsys):
+        grid = grid_file(tmp_path)
+        grid.write_text(grid.read_text().replace("mu_OLV", "mu_UNK"))
+        self._fatal(["map", str(grid), "--out", str(tmp_path / "m")], capsys,
+                    "grid.csv: column mu_UNK")
+
+    @pytest.mark.parametrize("nu", ["nan", "inf", "5", "-0.5"])
+    def test_nu_outside_unit_interval_fatal(self, tmp_path, capsys, nu):
+        grid = grid_file(tmp_path)
+        self._fatal(["map", str(grid), "--nu", nu, "--out", str(tmp_path / "m")], capsys,
+                    "--nu must be in [0,1]")
+
     def test_spacing_header_ignored(self, tmp_path):
         grid = grid_file(tmp_path)
         grid.write_text("# spacing: wide\n" + grid.read_text())

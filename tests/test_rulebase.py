@@ -198,3 +198,11 @@ class TestValidate:
     def test_non_finite_options(self, field, value):
         diags = validate(self._tiny(**{field: value}))
         assert any(d.severity == "error" and field in d.message for d in diags)
+
+    def test_ion_mz_overflowing_to_inf_rejected(self):
+        with pytest.raises(ParseError, match="ion 'Fe' has non-finite m/z inf"):
+            parse_rulebase(MINIMAL.replace("ion Fe = 55.954", "ion Fe = 1e999"))
+
+    def test_threshold_overflowing_to_inf_rejected(self):
+        with pytest.raises(ParseError, match="term 'fe' has a non-finite threshold"):
+            parse_rulebase(MINIMAL.replace("h = 40", "h = 1e999"))
