@@ -264,7 +264,7 @@ class TestPeakAbundance:
         factor = outcome(scale_factor, s, excluded, eps)
         old = outcome(old_normalize, s, excluded, eps)
         if old[0] == "ok" and math.inf in (ab for _, ab in old[1]):
-            # old normalize() overflowed an excluded peak to inf; now refused
+            # the reference scales an excluded peak to inf; normalize() refuses that
             assert factor[1].startswith("peak abundance")
         elif old[0] != "ok":
             assert factor == old
