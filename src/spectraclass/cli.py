@@ -31,6 +31,17 @@ class _ArgumentParser(argparse.ArgumentParser):
         self.exit(EX_USAGE, f"{self.prog}: error: {message}\n")
 
 
+def _positive_int(text: str) -> int:
+    """argparse type for a count of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def load_rules(spec: str, epsilon=None, nu=None):
     """Resolve `builtin:basalt` or a DSL file path, then apply and validate CLI overrides."""
     if spec == "builtin:basalt":
@@ -93,8 +104,8 @@ def cmd_stats(args) -> int:
     groups: dict = {}
     normalized = []
     for path in inputs:
-        s = parse_spectrum(Path(path).read_text(encoding="utf-8"), id=Path(path).stem)
-        s = normalize(s, excluded, eps)
+        s = _read_input(path, lambda text: normalize(
+            parse_spectrum(text, id=Path(path).stem), excluded, eps))
         normalized.append(s)
         if args.group_by == "directory":
             key = Path(path).parent.name or "."
@@ -137,7 +148,7 @@ def cmd_map(args) -> int:
     palette = _read_input(args.palette, pixmap.load_palette) if args.palette else None
 
     pre = spatial.classify_spots(grid, nu)
-    post = spatial.reclassify_map(grid, nu, floor=args.floor)
+    post = spatial.reclassify_map(grid, nu, floor=args.floor, _pre=pre)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
@@ -182,7 +193,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("classify", help="classify spectra and write a batch CSV")
     add_rules_opts(p)
     p.add_argument("inputs", nargs="+", help="spectrum files or globs")
-    p.add_argument("--workers", type=int, default=1, help="parallel workers")
+    p.add_argument("--workers", type=_positive_int, default=1, help="parallel workers")
     p.add_argument("--out", help="output CSV path (default stdout)")
     p.set_defaults(func=cmd_classify)
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from itertools import chain
+
 from .spatial import ClassificationMap, SampleGrid
 
 # Fixed palette for the basalt classes; UNK renders black.
@@ -15,13 +17,16 @@ BASALT_PALETTE = {
 
 _FALLBACK = (128, 128, 128)
 
+# One shared pixel per grey level.
+_GREY = [(g, g, g) for g in range(256)]
+
 
 def write_ppm(stream, width: int, height: int, pixels) -> None:
     """Write a P6 pixmap; ``pixels`` is a row-major list of RGB triples."""
     if len(pixels) != width * height:
         raise ValueError(f"expected {width * height} pixels, got {len(pixels)}")
     stream.write(f"P6\n{width} {height}\n255\n".encode("ascii"))
-    stream.write(bytes(v for px in pixels for v in px))
+    stream.write(bytes(chain.from_iterable(pixels)))
 
 
 def render_class_map(cmap: ClassificationMap, palette=None):
@@ -34,12 +39,8 @@ def render_class_map(cmap: ClassificationMap, palette=None):
 
 def render_membership_map(grid: SampleGrid, gamma: str):
     """Grayscale view of one class's membership, 0 -> black, 1 -> white."""
-    pixels = []
-    for spot in grid.spots:
-        v = min(max(spot.membership[gamma], 0.0), 1.0)
-        g = round(v * 255)
-        pixels.append((g, g, g))
-    return pixels
+    return [_GREY[round(min(max(spot.membership[gamma], 0.0), 1.0) * 255)]
+            for spot in grid.spots]
 
 
 def load_palette(text: str):

@@ -20,7 +20,7 @@ _HEX_ODD = ((-1, 0), (-1, 1), (0, -1), (0, 1), (1, 0), (1, 1))
 _MOORE = ((-1, -1), (-1, 0), (-1, 1), (0, -1), (0, 1), (1, -1), (1, 0), (1, 1))
 
 
-@dataclass
+@dataclass(slots=True)
 class Spot:
     membership: dict  # class code -> [0,1]
     id: str = ""
@@ -59,7 +59,8 @@ def neighbors(grid: SampleGrid, i: int):
     """
     if not 0 <= i < len(grid.spots):
         raise BadIndex(f"spot index {i} out of range")
-    row, col = divmod(i, grid.cols)
+    rows, cols = grid.rows, grid.cols
+    row, col = divmod(i, cols)
     if grid.topology == RECTANGULAR:
         offsets = _MOORE
     else:
@@ -67,8 +68,8 @@ def neighbors(grid: SampleGrid, i: int):
     out = []
     for dr, dc in offsets:
         r, c = row + dr, col + dc
-        if 0 <= r < grid.rows and 0 <= c < grid.cols:
-            out.append(grid.index(r, c))
+        if 0 <= r < rows and 0 <= c < cols:
+            out.append(r * cols + c)
     return out
 
 
@@ -84,7 +85,7 @@ def smoothed_membership(grid: SampleGrid, i: int, gamma: str) -> float:
     return mu + sum(grid.spots[j].membership[gamma] for j in ns) / len(ns)
 
 
-@dataclass
+@dataclass(slots=True)
 class MapCell:
     label: str
     confidence: float
@@ -106,7 +107,8 @@ def classify_spots(grid: SampleGrid, nu: float) -> ClassificationMap:
     return ClassificationMap(cells, list(grid.class_codes), grid.rows, grid.cols, grid.topology)
 
 
-def reclassify_map(grid: SampleGrid, nu: float, floor: Optional[float] = None) -> ClassificationMap:
+def reclassify_map(grid: SampleGrid, nu: float, floor: Optional[float] = None, *,
+                   _pre: Optional[ClassificationMap] = None) -> ClassificationMap:
     """Hard classification with neighbor smoothing for sub-nu spots.
 
     Confident spots keep their raw argmax label. Indeterminate spots take
@@ -116,18 +118,31 @@ def reclassify_map(grid: SampleGrid, nu: float, floor: Optional[float] = None) -
     the best smoothed value stays below it (off by default), with the raw
     confidence 1 - raw best. The stored confidence of a neighbor-assigned
     class is the smoothed value and may exceed 1.
+
+    Each smoothed value is the one smoothed_membership() gives, bit for
+    bit: the neighbors are listed once per spot and summed per class in
+    the same order. Confident spots share their cell with the raw map,
+    which ``_pre`` passes in when the caller has already built it with
+    classify_spots(grid, nu).
     """
+    pre = classify_spots(grid, nu) if _pre is None else _pre
     smoothed_nu = -math.inf if floor is None else floor
-    cells = []
-    for i, spot in enumerate(grid.spots):
-        label, confidence = harden_values(spot.membership, nu)
-        if label != UNK:
-            cells.append(MapCell(label, confidence))
+    spots = grid.spots
+    codes = grid.class_codes
+    cells = list(pre.cells)
+    for i, cell in enumerate(cells):
+        if cell.label != UNK:
             continue
-        smoothed = {c: smoothed_membership(grid, i, c) for c in grid.class_codes}
+        mu = spots[i].membership
+        around = [spots[j].membership for j in neighbors(grid, i)]
+        if around:
+            n = len(around)
+            smoothed = {c: mu[c] + sum([m[c] for m in around]) / n for c in codes}
+        else:
+            smoothed = mu
         code, sbest = harden_values(smoothed, smoothed_nu)
-        cells.append(MapCell(code, confidence if code == UNK else sbest, neighbor_assigned=True))
-    return ClassificationMap(cells, list(grid.class_codes), grid.rows, grid.cols, grid.topology)
+        cells[i] = MapCell(code, cell.confidence if code == UNK else sbest, True)
+    return ClassificationMap(cells, list(codes), grid.rows, grid.cols, grid.topology)
 
 
 # ---------------------------------------------------------------------------
@@ -139,10 +154,14 @@ _HEADER_RE = re.compile(r"#\s*(topology|rows|cols)\s*:\s*(\S+)")
 def read_grid_csv(text: str) -> SampleGrid:
     """Parse a grid file: `# topology/rows/cols` headers plus batch CSV rows.
 
-    Spots are listed in row-major order.
+    Spots are listed in row-major order. Headers may appear anywhere in
+    the file, so a malformed data line is reported only after the headers
+    are checked, as if every header came first.
     """
     meta = {}
-    body = []
+    columns = None
+    spots = []
+    error = None  # the first malformed data line; headers are still read after it
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
         if not line:
@@ -152,7 +171,39 @@ def read_grid_csv(text: str) -> SampleGrid:
             if m:
                 meta[m.group(1)] = m.group(2)
             continue
-        body.append((lineno, line))
+        if error is not None:
+            continue
+        if columns is None:
+            columns = [c.strip() for c in line.split(",")]
+            class_codes = [c[3:] for c in columns if c.startswith("mu_")]
+            if not class_codes:
+                error = ParseError("no mu_<CLASS> columns in grid CSV", line=lineno)
+            elif UNK in class_codes:
+                error = ParseError(f"column mu_{UNK}: {UNK} is the unknown label, not a class",
+                                   line=lineno)
+            idx = {name: k for k, name in enumerate(columns)}
+            mu_columns = [(c, idx[f"mu_{c}"]) for c in class_codes]
+            kid, kx, ky = idx.get("id"), idx.get("x"), idx.get("y")
+            continue
+        # float() ignores the whitespace around a field; ids are stripped.
+        fields = line.split(",")
+        if len(fields) != len(columns):
+            error = ParseError(f"expected {len(columns)} fields", line=lineno)
+            continue
+        try:
+            membership = {c: float(fields[k]) for c, k in mu_columns}
+            x = float(fields[kx]) if kx is not None and fields[kx].strip() else 0.0
+            y = float(fields[ky]) if ky is not None and fields[ky].strip() else 0.0
+        except ValueError:
+            error = ParseError("non-numeric field in grid row", line=lineno)
+            continue
+        for c, mu in membership.items():
+            if not 0.0 <= mu <= 1.0:  # also false for nan
+                error = ParseError(f"mu_{c} = {mu} is outside [0,1]", line=lineno)
+                break
+        else:
+            spots.append(Spot(membership, "" if kid is None else fields[kid].strip(), x, y))
+
     for key in ("topology", "rows", "cols"):
         if key not in meta:
             raise ParseError(f"missing grid header '# {key}:'")
@@ -162,42 +213,18 @@ def read_grid_csv(text: str) -> SampleGrid:
         cols = int(meta["cols"])
     except ValueError:
         raise ParseError("rows/cols headers must be integers") from None
-
-    if not body:
+    if rows < 1 or cols < 1:
+        raise ParseError(f"rows/cols headers must be at least 1, got {rows} x {cols}")
+    if columns is None:
         raise ParseError("grid file has no data rows")
-    head_line, head = body[0]
-    columns = [c.strip() for c in head.split(",")]
-    class_codes = [c[3:] for c in columns if c.startswith("mu_")]
-    if not class_codes:
-        raise ParseError("no mu_<CLASS> columns in grid CSV", line=head_line)
-    if UNK in class_codes:
-        raise ParseError(f"column mu_{UNK}: {UNK} is the unknown label, not a class",
-                         line=head_line)
-    idx = {name: k for k, name in enumerate(columns)}
-    mu_columns = [(c, idx[f"mu_{c}"]) for c in class_codes]
-
-    spots = []
-    for lineno, line in body[1:]:
-        fields = [f.strip() for f in line.split(",")]
-        if len(fields) != len(columns):
-            raise ParseError(f"expected {len(columns)} fields", line=lineno)
-        try:
-            membership = {c: float(fields[k]) for c, k in mu_columns}
-            x = float(fields[idx["x"]]) if "x" in idx and fields[idx["x"]] else 0.0
-            y = float(fields[idx["y"]]) if "y" in idx and fields[idx["y"]] else 0.0
-        except ValueError:
-            raise ParseError("non-numeric field in grid row", line=lineno) from None
-        for c, mu in membership.items():
-            if not 0.0 <= mu <= 1.0:  # also false for nan
-                raise ParseError(f"mu_{c} = {mu} is outside [0,1]", line=lineno)
-        spots.append(Spot(membership, id=fields[idx["id"]] if "id" in idx else "", x=x, y=y))
+    if error is not None:
+        raise error
     return SampleGrid(topology, rows, cols, spots, class_codes)
 
 
 def write_map_csv(grid: SampleGrid, cmap: ClassificationMap, stream) -> None:
     stream.write("x,y,label,confidence,neighbor_assigned\n")
-    for spot, cell in zip(grid.spots, cmap.cells):
-        stream.write(",".join([
-            fmt(spot.x), fmt(spot.y), cell.label, fmt(cell.confidence),
-            "true" if cell.neighbor_assigned else "false",
-        ]) + "\n")
+    stream.writelines(
+        f"{fmt(spot.x)},{fmt(spot.y)},{cell.label},{fmt(cell.confidence)},"
+        f"{'true' if cell.neighbor_assigned else 'false'}\n"
+        for spot, cell in zip(grid.spots, cmap.cells))

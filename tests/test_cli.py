@@ -100,6 +100,14 @@ class TestStatsCmd:
         code = main(["stats", str(tmp_path / "none" / "*.csv")])
         assert code == EX_FATAL
 
+    def test_bad_file_named_fatal(self, spectra_dir, tmp_path, capsys):
+        bad = tmp_path / "bad.csv"
+        bad.write_text("55.954,nan\n")
+        code = main(["stats", str(spectra_dir / "agt.csv"), str(bad)])
+        assert code == EX_FATAL
+        assert capsys.readouterr().err == \
+            f"spectraclass: error: {bad}: non-finite abundance on line 1\n"
+
 
 GRID = """\
 # topology: rectangular
@@ -231,6 +239,20 @@ class TestMapCmd:
         grid.write_text("# spacing: wide\n" + grid.read_text())
         assert main(["map", str(grid), "--out", str(tmp_path / "m")]) == EX_OK
 
+    @pytest.mark.parametrize("rows,cols,data", [
+        (-1, -1, "s0,0,0,X,0,0,0.9,0,0"),  # -1 x -1 would be one spot
+        (0, 0, ""),
+        (0, 3, ""),
+        (3, -3, ""),
+    ])
+    def test_grid_size_below_one_fatal(self, tmp_path, capsys, rows, cols, data):
+        grid = tmp_path / "grid.csv"
+        grid.write_text(GRID.replace("# rows: 3", f"# rows: {rows}")
+                        .replace("# cols: 3", f"# cols: {cols}").format(rows=data))
+        self._fatal(["map", str(grid), "--out", str(tmp_path / "m")], capsys,
+                    f"grid.csv: rows/cols headers must be at least 1, got {rows} x {cols}")
+        assert not (tmp_path / "m").exists()
+
 
 class TestValidateCmd:
     def test_builtin_ok(self, capsys):
@@ -267,6 +289,17 @@ class TestUsage:
         text = capsys.readouterr().out
         for flag in ("--rules", "--epsilon", "--nu", "--workers", "--out"):
             assert flag in text
+
+    @pytest.mark.parametrize("value,message", [
+        ("0", "must be at least 1, got 0"),
+        ("-2", "must be at least 1, got -2"),
+        ("abc", "invalid int value: 'abc'"),
+    ])
+    def test_workers_below_one_exits_64(self, spectra_dir, capsys, value, message):
+        with pytest.raises(SystemExit) as exc:
+            main(["classify", str(spectra_dir / "agt.csv"), "--workers", value])
+        assert exc.value.code == EX_USAGE
+        assert f"argument --workers: {message}" in capsys.readouterr().err
 
     def test_env_var_default(self, spectra_dir, tmp_path, monkeypatch):
         rules = tmp_path / "basalt.rules"

@@ -1,12 +1,16 @@
 import io
+import math
 import random
 
 import pytest
+from hypothesis import example, given, strategies as st
 
+from spectraclass.classify import UNK, harden_values
 from spectraclass.errors import BadIndex, ParseError
 from spectraclass.spatial import (
     HEXAGONAL,
     RECTANGULAR,
+    MapCell,
     SampleGrid,
     Spot,
     classify_spots,
@@ -197,3 +201,64 @@ class TestGridIO:
         assert lines[0] == "x,y,label,confidence,neighbor_assigned"
         assert len(lines) == 5
         assert lines[3].split(",")[4] == "true"  # spot c was below nu
+
+    def test_headers_after_data_rows_honored(self):
+        head, body = GRID_CSV.split("id,", 1)
+        g = read_grid_csv("id," + body + head)
+        assert (g.topology, g.rows, g.cols) == (RECTANGULAR, 2, 2)
+        assert [s.id for s in g.spots] == ["a", "b", "c", "d"]
+
+    def test_malformed_row_reported_after_late_missing_header(self):
+        text = GRID_CSV.replace("# cols: 2\n", "").replace("b,1,0,", "b,1,0,x,")
+        with pytest.raises(ParseError, match="missing grid header '# cols:'"):
+            read_grid_csv(text)
+        with pytest.raises(ParseError, match=r"expected 7 fields \(line 5\)"):
+            read_grid_csv(text + "# cols: 2\n")
+
+    @pytest.mark.parametrize("rows,cols", [(-1, -1), (0, 0), (0, 2), (2, 0)])
+    def test_size_below_one_rejected(self, rows, cols):
+        text = GRID_CSV.replace("# rows: 2", f"# rows: {rows}").replace("# cols: 2", f"# cols: {cols}")
+        with pytest.raises(ParseError, match="rows/cols headers must be at least 1"):
+            read_grid_csv(text)
+
+
+def reference_map(grid, nu, floor):
+    """reclassify_map spelled out from smoothed_membership and harden_values."""
+    cells = []
+    for i, spot in enumerate(grid.spots):
+        label, confidence = harden_values(spot.membership, nu)
+        if label != UNK:
+            cells.append(MapCell(label, confidence))
+            continue
+        smoothed = {c: smoothed_membership(grid, i, c) for c in grid.class_codes}
+        code, sbest = harden_values(smoothed, -math.inf if floor is None else floor)
+        cells.append(MapCell(code, confidence if code == UNK else sbest, True))
+    return cells
+
+
+# Few distinct values, so ties between classes and neighbors are common.
+membership_values = st.one_of(st.sampled_from([0.0, 0.1, 0.25, 0.5, 1.0]), st.floats(0.0, 1.0))
+
+
+@st.composite
+def grids(draw):
+    rows, cols = draw(st.sampled_from([(1, 1), (1, 5), (5, 1), (2, 2)]) | st.tuples(
+        st.integers(1, 7), st.integers(1, 7)))
+    topology = draw(st.sampled_from([RECTANGULAR, HEXAGONAL]))
+    codes = CODES[:draw(st.integers(1, len(CODES)))]
+    spots = [Spot({c: draw(membership_values) for c in codes}) for _ in range(rows * cols)]
+    return SampleGrid(topology, rows, cols, spots, codes)
+
+
+class TestReclassifyReference:
+    # nu of 1 leaves every spot below 1 to smoothing.
+    @given(grids(), st.sampled_from([0.5, 1.0]) | st.floats(0.0, 1.0),
+           st.none() | st.floats(0.0, 2.0))
+    @example(grid_from(1, 1, [{"ILM": 0.1, "AGT": 0.3, "PLG": 0.2, "OLV": 0.0}]), 0.5, None)
+    @example(grid_from(1, 3, [uniform(0.2), uniform(0.4), uniform(0.1)], HEXAGONAL), 0.5, 0.3)
+    @example(grid_from(3, 1, [uniform(0.2), uniform(0.4), uniform(0.1)]), 0.5, 0.9)
+    def test_equals_reference(self, grid, nu, floor):
+        expected = reference_map(grid, nu, floor)
+        assert reclassify_map(grid, nu, floor).cells == expected
+        pre = classify_spots(grid, nu)
+        assert reclassify_map(grid, nu, floor, _pre=pre).cells == expected
