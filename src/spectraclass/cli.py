@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import glob
+import math
 import os
 import sys
 from collections import Counter
@@ -102,18 +103,23 @@ def cmd_stats(args) -> int:
     excluded = rb.excluded_ions()
 
     groups: dict = {}
+    group_dirs: dict = {}  # directory group key -> the directory it names
     normalized = []
     for path in inputs:
         s = _read_input(path, lambda text: normalize(
             parse_spectrum(text, id=Path(path).stem), excluded, eps))
         normalized.append(s)
         if args.group_by == "directory":
-            key = Path(path).parent.name or "."
+            parent = Path(path).parent
+            key = parent.name or "."
+            first = group_dirs.setdefault(key, parent)
+            if first != parent and first.resolve() != parent.resolve():
+                raise SpectraClassError(
+                    f"directories {str(first)!r} and {str(parent)!r} "
+                    f"share the group name {key!r}")
         else:
             key = harden(memberships(s, rb), rb.options.nu).label
         groups.setdefault(key, []).append(s)
-    if not groups:
-        raise SpectraClassError("no groups formed")
 
     ensemble_db = stats.build_statdb(normalized, eps)
     out_dir = Path(args.out) if args.out else None
@@ -142,6 +148,8 @@ def cmd_map(args) -> int:
     nu = args.nu if args.nu is not None else 0.5
     if not 0.0 <= nu <= 1.0:  # also false for nan
         raise SpectraClassError(f"--nu must be in [0,1], got {nu}")
+    if args.floor is not None and not math.isfinite(args.floor):
+        raise SpectraClassError(f"--floor must be finite, got {args.floor}")
     grid = _read_input(args.input, spatial.read_grid_csv)
     if args.topology:
         grid.topology = {"rect": spatial.RECTANGULAR, "hex": spatial.HEXAGONAL}[args.topology]

@@ -43,16 +43,22 @@ def peak_list(s: Spectrum, eps: float):
     """Consolidated peak list: points closer than eps collapse to the largest.
 
     Clusters chain on the gap between consecutive m/z values; the
-    comparison is closed, so two peaks exactly eps apart merge.
+    comparison is closed, so two peaks exactly eps apart merge. On equal
+    abundances the first point is kept. The list holds the spectrum's own
+    point tuples.
     """
     out = []
     prev_mz = None
-    for mz, ab in s.points:
+    kept = 0.0  # abundance of out[-1]
+    for p in s.points:
+        mz, ab = p
         if prev_mz is not None and mz - prev_mz <= eps:
-            if ab > out[-1][1]:
-                out[-1] = (mz, ab)
+            if ab > kept:
+                out[-1] = p
+                kept = ab
         else:
-            out.append((mz, ab))
+            out.append(p)
+            kept = ab
         prev_mz = mz
     return out
 
@@ -73,21 +79,27 @@ def build_statdb(spectra, eps: float) -> StatDB:
         peaks.extend(peak_list(s, eps))
     peaks.sort()
 
+    # The open bin lives in locals and becomes a StatBin when it closes;
+    # its center is phi_sum / c, the running mean of its m/z values.
     bins = []
-    phi_sum = 0.0
+    c = 0
+    phi_sum = a_tot = a_tot2 = a_max = a_min = 0.0
     for mz, ab in peaks:
-        if bins and mz - phi_sum / bins[-1].c <= eps:
-            b = bins[-1]
+        if c and mz - phi_sum / c <= eps:
             phi_sum += mz
-            b.c += 1
-            b.a_tot += ab
-            b.a_tot2 += ab * ab
-            b.a_max = max(b.a_max, ab)
-            b.a_min = min(b.a_min, ab)
-            b.phi = phi_sum / b.c
+            c += 1
+            a_tot += ab
+            a_tot2 += ab * ab
+            if ab > a_max:  # strict, as max() and min() keep the first value on ties
+                a_max = ab
+            if ab < a_min:
+                a_min = ab
         else:
-            phi_sum = mz
-            bins.append(StatBin(phi=mz, c=1, a_tot=ab, a_tot2=ab * ab, a_max=ab, a_min=ab))
+            if c:
+                bins.append(StatBin(phi_sum / c, c, a_tot, a_tot2, a_max, a_min))
+            phi_sum, c, a_tot, a_tot2, a_max, a_min = mz, 1, ab, ab * ab, ab, ab
+    if c:
+        bins.append(StatBin(phi_sum / c, c, a_tot, a_tot2, a_max, a_min))
     return StatDB(bins=bins, n_spectra=len(spectra), eps=eps)
 
 

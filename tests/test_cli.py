@@ -108,6 +108,28 @@ class TestStatsCmd:
         assert capsys.readouterr().err == \
             f"spectraclass: error: {bad}: non-finite abundance on line 1\n"
 
+    def test_directories_sharing_a_name_fatal(self, tmp_path, capsys):
+        for run, name in (("r1", "agt"), ("r2", "plg")):
+            d = tmp_path / run / "area0"
+            d.mkdir(parents=True)
+            (d / f"{name}.csv").write_text(spectrum_csv(FIXTURES[name]))
+        out = tmp_path / "reports"
+        code = main(["stats", str(tmp_path / "r*" / "area0" / "*.csv"),
+                     "--group-by", "directory", "--out", str(out)])
+        assert code == EX_FATAL
+        assert capsys.readouterr().err == (
+            f"spectraclass: error: directories {str(tmp_path / 'r1' / 'area0')!r} and "
+            f"{str(tmp_path / 'r2' / 'area0')!r} share the group name 'area0'\n")
+        assert not out.exists()
+
+    def test_one_directory_named_two_ways_is_one_group(self, spectra_dir, tmp_path,
+                                                      monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        code = main(["stats", "spectra/agt.csv", str(spectra_dir / "plg.csv"),
+                     "--group-by", "directory"])
+        assert code == EX_OK
+        assert "== spectra (2 spectra) vs ensemble (2) ==" in capsys.readouterr().out
+
 
 GRID = """\
 # topology: rectangular
@@ -233,6 +255,13 @@ class TestMapCmd:
         grid = grid_file(tmp_path)
         self._fatal(["map", str(grid), "--nu", nu, "--out", str(tmp_path / "m")], capsys,
                     "--nu must be in [0,1]")
+
+    @pytest.mark.parametrize("floor", ["nan", "inf", "-inf"])
+    def test_non_finite_floor_fatal(self, tmp_path, capsys, floor):
+        grid = grid_file(tmp_path)
+        self._fatal(["map", str(grid), f"--floor={floor}", "--out", str(tmp_path / "m")],
+                    capsys, f"--floor must be finite, got {float(floor)}")
+        assert not (tmp_path / "m").exists()
 
     def test_spacing_header_ignored(self, tmp_path):
         grid = grid_file(tmp_path)

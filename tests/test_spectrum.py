@@ -110,6 +110,14 @@ class TestParse:
     def test_parse_serialize_roundtrip(self, s):
         assert parse_spectrum(serialize_spectrum(s)) == Spectrum(s.points)
 
+    @given(st.dictionaries(
+        st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
+        st.floats(min_value=0.0, allow_infinity=False),
+        min_size=1, max_size=30))
+    def test_serialize_parse_roundtrip_is_exact(self, points):
+        s = Spectrum(tuple(sorted(points.items())))
+        assert parse_spectrum(serialize_spectrum(s)).points == s.points
+
 
 class TestDirectConstruction:
     """Spectrum(...) checks its points; parse_spectrum checks rows instead."""

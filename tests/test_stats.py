@@ -2,11 +2,14 @@ import math
 import random
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from conftest import make_spectrum
 from spectraclass.errors import EmptyEnsemble, IncompatibleDBs
 from spectraclass.spectrum import Spectrum
 from spectraclass.stats import (
+    StatBin,
+    StatDB,
     build_statdb,
     class_vs_ensemble_report,
     full_presence_bins,
@@ -179,3 +182,99 @@ class TestReport:
         s = Spectrum(((26.98, 5.0),))
         with pytest.raises(IncompatibleDBs):
             class_vs_ensemble_report(build_statdb([s], 0.02), build_statdb([s], 0.05))
+
+
+def old_peak_list(s, eps):
+    """peak_list() as first written, building a new tuple per kept peak."""
+    out = []
+    prev_mz = None
+    for mz, ab in s.points:
+        if prev_mz is not None and mz - prev_mz <= eps:
+            if ab > out[-1][1]:
+                out[-1] = (mz, ab)
+        else:
+            out.append((mz, ab))
+        prev_mz = mz
+    return out
+
+
+def old_build_statdb(spectra, eps):
+    """build_statdb() as first written, updating the open StatBin per peak."""
+    spectra = list(spectra)
+    peaks = []
+    for s in spectra:
+        peaks.extend(old_peak_list(s, eps))
+    peaks.sort()
+    bins = []
+    phi_sum = 0.0
+    for mz, ab in peaks:
+        if bins and mz - phi_sum / bins[-1].c <= eps:
+            b = bins[-1]
+            phi_sum += mz
+            b.c += 1
+            b.a_tot += ab
+            b.a_tot2 += ab * ab
+            b.a_max = max(b.a_max, ab)
+            b.a_min = min(b.a_min, ab)
+            b.phi = phi_sum / b.c
+        else:
+            phi_sum = mz
+            bins.append(StatBin(phi=mz, c=1, a_tot=ab, a_tot2=ab * ab, a_max=ab, a_min=ab))
+    return StatDB(bins=bins, n_spectra=len(spectra), eps=eps)
+
+
+# m/z on a 1/8 grid make gaps of exactly eps for the dyadic eps values, and
+# are shared across spectra; abundances repeat, and -0.0 ties with 0.0.
+GRID_MZ = st.integers(0, 48).map(lambda k: 20.0 + k / 8)
+STAT_MZ = st.one_of(GRID_MZ, st.floats(20.0, 26.0))
+STAT_ABUNDANCE = st.one_of(st.sampled_from([0.0, -0.0, 1.0, 2.5, 100.0]),
+                           st.floats(0.0, 100.0))
+STAT_EPS = st.sampled_from([0.125, 0.25, 0.5, 0.02, 0.2])
+
+
+def stat_spectrum(max_size=12):
+    return st.dictionaries(STAT_MZ, STAT_ABUNDANCE, min_size=1, max_size=max_size).map(
+        lambda pts: Spectrum(tuple(sorted(pts.items()))))
+
+
+def exact(x, y):
+    """x == y, and their reprs agree too, so a 0.0 in place of a -0.0 differs."""
+    return x == y and repr(x) == repr(y)
+
+
+EXACT_EPS_GAP = [Spectrum(((20.0, 1.0), (20.25, 2.0))), Spectrum(((20.5, 3.0),))]
+SIGNED_ZERO_TIES = [Spectrum(((20.0, -0.0), (21.0, 0.0))), Spectrum(((20.0, 0.0), (21.0, -0.0)))]
+EQUAL_ABUNDANCES = [Spectrum(((20.0, 5.0), (20.125, 5.0), (20.25, 5.0)))]
+
+
+class TestAgainstFirstVersion:
+    """peak_list and build_statdb give what their first versions gave."""
+
+    @given(stat_spectrum(30), STAT_EPS)
+    @example(EXACT_EPS_GAP[0], 0.25)
+    @example(EQUAL_ABUNDANCES[0], 0.125)
+    def test_peak_list(self, s, eps):
+        out = peak_list(s, eps)
+        assert exact(out, old_peak_list(s, eps))
+        own = {id(p) for p in s.points}
+        assert all(id(p) in own for p in out)
+
+    @given(st.lists(stat_spectrum(), min_size=1, max_size=6), STAT_EPS)
+    @example(EXACT_EPS_GAP, 0.25)
+    @example(SIGNED_ZERO_TIES, 0.5)
+    @example(EQUAL_ABUNDANCES * 2, 0.125)
+    def test_build_statdb(self, spectra, eps):
+        db, ref = build_statdb(spectra, eps), old_build_statdb(spectra, eps)
+        assert (db.n_spectra, db.eps) == (ref.n_spectra, ref.eps)
+        assert len(db.bins) == len(ref.bins)
+        for b, r in zip(db.bins, ref.bins):
+            for name in ("phi", "c", "a_tot", "a_tot2", "a_max", "a_min"):
+                assert exact(getattr(b, name), getattr(r, name)), name
+
+    @given(st.lists(stat_spectrum(), min_size=1, max_size=6), STAT_EPS, st.randoms())
+    def test_bins_do_not_depend_on_input_order(self, spectra, eps, rng):
+        shuffled = spectra[:]
+        rng.shuffle(shuffled)
+        # ==, not exact(): which of two tied zeros of opposite sign a bin
+        # keeps as its max or min follows the input order
+        assert build_statdb(shuffled, eps) == build_statdb(spectra, eps)
