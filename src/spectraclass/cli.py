@@ -111,7 +111,8 @@ def cmd_stats(args) -> int:
         normalized.append(s)
         if args.group_by == "directory":
             parent = Path(path).parent
-            key = parent.name or "."
+            # "." and ".." name no directory; abspath gives the one they mean.
+            key = Path(os.path.abspath(parent)).name
             first = group_dirs.setdefault(key, parent)
             if first != parent and first.resolve() != parent.resolve():
                 raise SpectraClassError(

@@ -6,11 +6,17 @@ import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import islice
+from operator import lt
 from typing import Iterable, Optional
 
 from .errors import CannotNormalize, DomainError, EmptySpectrum, ParseError
 
 FULL_SCALE = 100.0
+
+# Every ASCII byte but the comma and the line breaks of str.splitlines();
+# deleting them leaves the skeleton that _parse_columns checks.
+_NOT_SKELETON = bytes(b for b in range(128) if chr(b) not in ",\n\r\x0b\x0c\x1c\x1d\x1e")
 
 
 @dataclass(frozen=True)
@@ -78,8 +84,12 @@ def parse_spectrum(source, format="csv", id="", position=None) -> Spectrum:
     whitespace-separated columns. Blank lines and ``#`` comments are
     skipped. Duplicate m/z rows merge keeping the maximum abundance.
 
-    Each row is checked once, here; the Spectrum is built from the
-    checked points without a second validating pass.
+    ``csv`` text with no ``#`` and no ``-`` whose every line holds exactly
+    one comma is read column-wise: all fields go through ``float`` in one
+    pass and are checked as whole columns. Any text that pass cannot take
+    as it stands, and all ``msp-like`` text, is read line by line, which
+    is also where every error and its line number comes from. Both give
+    the same points.
     """
     if hasattr(source, "read"):
         text = source.read()
@@ -89,8 +99,54 @@ def parse_spectrum(source, format="csv", id="", position=None) -> Spectrum:
         text = "\n".join(source)
     if format not in ("csv", "msp-like"):
         raise ValueError(f"unknown spectrum format {format!r}")
-    sep = "," if format == "csv" else None
+    if format == "csv" and "#" not in text and "-" not in text:
+        s = _parse_columns(text, id, position)
+        if s is not None:
+            return s
+    return _parse_lines(text, format, id, position)
 
+
+def _parse_columns(text: str, id, position) -> Optional[Spectrum]:
+    """The Spectrum of plain csv text from whole-column checks, or None to read it by line.
+
+    The caller has ruled out ``#`` and ``-``, so every finite field reads
+    at least +0.0 (an abundance of ``-0`` needs the line loop's + 0.0).
+    """
+    if not text.isascii():
+        return None
+    body = text[:-1] if text.endswith("\n") else text
+    # The commas and line breaks of the text must read ",\n,\n...,": one
+    # comma on every line, no blank line and "\n" the only line break. A
+    # total count is not enough: "1,2,3\n4" has two commas and two lines.
+    skeleton = body.encode("ascii").translate(None, _NOT_SKELETON)
+    if skeleton != b",\n" * (len(skeleton) // 2) + b",":
+        return None
+    try:
+        vals = list(map(float, body.replace("\n", ",").split(",")))
+    except ValueError:
+        return None
+    # A finite sum rules out nan, inf and an overflowing field; min() or
+    # max() could step over a nan.
+    if not sum(vals) < math.inf:
+        return None
+    mzs, abundances = vals[0::2], vals[1::2]
+    # The columns also seed the Spectrum's cached mzs and max_abundance.
+    if all(map(lt, mzs, islice(mzs, 1, None))):
+        if not mzs[0] > 0.0:
+            return None
+        s = Spectrum._trusted(tuple(zip(mzs, abundances)), id=id, position=position)
+        s.__dict__["mzs"] = mzs
+    elif min(mzs) > 0.0:
+        s = Spectrum._trusted(_merge(list(zip(mzs, abundances))), id=id, position=position)
+    else:
+        return None
+    s.__dict__["max_abundance"] = max(abundances)
+    return s
+
+
+def _parse_lines(text: str, format: str, id="", position=None) -> Spectrum:
+    """Read ``text`` line by line, checking each row once; the source of every parse error."""
+    sep = "," if format == "csv" else None
     pts = []
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
@@ -109,12 +165,16 @@ def parse_spectrum(source, format="csv", id="", position=None) -> Spectrum:
         pts.append((mz, ab + 0.0))  # + 0.0 reads an abundance of -0 as 0
     if not pts:
         raise EmptySpectrum("no peaks in input")
+    return Spectrum._trusted(_merge(pts), id=id, position=position)
+
+
+def _merge(pts: list) -> tuple:
+    """Checked points sorted by m/z, each duplicate m/z kept once with its maximum abundance."""
     pts.sort()
     # Sorted by (m/z, abundance), so the last row of each m/z, the one
     # dict() keeps, carries its maximum abundance.
     merged = dict(pts)
-    points = tuple(pts) if len(merged) == len(pts) else tuple(merged.items())
-    return Spectrum._trusted(points, id=id, position=position)
+    return tuple(pts) if len(merged) == len(pts) else tuple(merged.items())
 
 
 def _bad_row(mz: float, ab: float, lineno: int) -> DomainError:

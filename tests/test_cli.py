@@ -1,4 +1,10 @@
+import contextlib
+import io
+import tempfile
+from pathlib import Path
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import spectrum_csv
 from spectraclass.cli import EX_FATAL, EX_OK, EX_PARTIAL, EX_USAGE, main
@@ -128,6 +134,20 @@ class TestStatsCmd:
         code = main(["stats", "spectra/agt.csv", str(spectra_dir / "plg.csv"),
                      "--group-by", "directory"])
         assert code == EX_OK
+        assert "== spectra (2 spectra) vs ensemble (2) ==" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("cwd, inputs", [
+        ("spectra", ["agt.csv", "plg.csv"]),
+        ("spectra/sub", ["../agt.csv", "../plg.csv"]),
+    ])
+    def test_group_named_after_the_current_directory(self, spectra_dir, tmp_path,
+                                                     monkeypatch, capsys, cwd, inputs):
+        (tmp_path / cwd).mkdir(exist_ok=True)
+        monkeypatch.chdir(tmp_path / cwd)
+        out = tmp_path / "reports"
+        code = main(["stats", *inputs, "--group-by", "directory", "--out", str(out)])
+        assert code == EX_OK
+        assert sorted(p.name for p in out.iterdir()) == ["spectra_report.csv"]
         assert "== spectra (2 spectra) vs ensemble (2) ==" in capsys.readouterr().out
 
 
@@ -336,3 +356,51 @@ class TestUsage:
         monkeypatch.setenv("SPECTRACLASS_RULES", str(rules))
         out = tmp_path / "out.csv"
         assert main(["classify", str(spectra_dir / "agt.csv"), "--out", str(out)]) == EX_OK
+
+
+# Fuzzed argv: "{d}" stands for a fresh directory holding the files below.
+FUZZ_VALUES = ["nan", "inf", "-1", "0", "0.5", "1", "abc", "", "{d}/missing.csv",
+               "{d}/none/*.csv", "{d}/good.csv", "{d}/out"]
+FUZZ_INPUTS = ["{d}/good.csv", "{d}/bad.csv", "{d}/*.csv", "{d}/none/*.csv",
+               "{d}/missing.csv", "{d}/grid.csv", "{d}", "-1", "nan"]
+FUZZ_OPTIONS = {
+    "classify": ["--rules", "--epsilon", "--nu", "--workers", "--out"],
+    "stats": ["--rules", "--epsilon", "--nu", "--group-by", "--mode", "--out"],
+    "map": ["--nu", "--floor", "--topology", "--palette", "--out"],
+    "validate-rules": ["--rules", "--epsilon", "--nu"],
+}
+FUZZ_CHOICES = ["builtin:basalt", "builtin:nope", "{d}/bad.rules", "label", "directory",
+                "present-mean", "zero-inclusive-mean", "rect", "hex", "{d}/palette.txt"]
+
+
+@st.composite
+def fuzzed_argv(draw):
+    command = draw(st.sampled_from([*FUZZ_OPTIONS, "bogus"]))
+    argv = [command]
+    for _ in range(draw(st.integers(0, 4))):
+        option = draw(st.sampled_from(FUZZ_OPTIONS.get(command, ["--out"]) + ["--bogus"]))
+        argv += [option, draw(st.sampled_from(FUZZ_VALUES + FUZZ_CHOICES))]
+    argv += draw(st.lists(st.sampled_from(FUZZ_INPUTS), max_size=3))
+    return [command, *draw(st.permutations(argv[1:]))]
+
+
+class TestFuzzedArguments:
+    @settings(max_examples=80, deadline=None)
+    @given(fuzzed_argv())
+    def test_exit_code_known_and_no_traceback(self, template):
+        with tempfile.TemporaryDirectory() as d:
+            root = Path(d)
+            (root / "good.csv").write_text(spectrum_csv(FIXTURES["agt"]))
+            (root / "bad.csv").write_text("26.98,abc\n")
+            (root / "bad.rules").write_text('rulebase "x"\nion Fe = nope\n')
+            (root / "palette.txt").write_text("AGT 255 0 0\n")
+            grid_file(root)
+            argv = [arg.format(d=d) for arg in template]
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                try:
+                    code = main(argv)
+                except SystemExit as exc:
+                    code = exc.code
+        assert code in (EX_OK, EX_FATAL, EX_PARTIAL, EX_USAGE), (argv, err.getvalue())
+        assert "Traceback" not in err.getvalue()

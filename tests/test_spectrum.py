@@ -1,7 +1,7 @@
 import math
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from spectraclass.errors import (
     CannotNormalize,
@@ -12,6 +12,8 @@ from spectraclass.errors import (
 from spectraclass.spectrum import (
     IonTarget,
     Spectrum,
+    _parse_columns,
+    _parse_lines,
     normalize,
     parse_spectrum,
     peak_abundance,
@@ -117,6 +119,65 @@ class TestParse:
     def test_serialize_parse_roundtrip_is_exact(self, points):
         s = Spectrum(tuple(sorted(points.items())))
         assert parse_spectrum(serialize_spectrum(s)).points == s.points
+
+
+def parsed(parse, text):
+    """What ``parse(text)`` gives, as comparable values: its points, mzs and maximum, or its error."""
+    try:
+        s = parse(text)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return repr(s.points), s.mzs, repr(s.max_abundance)
+
+
+FIELDS = ["1", "2.5", "26.98", "55.95", "0", "0.0", "-0", "-1", "1e-3", "nan", "inf",
+          "-inf", "1e999", "1e308", "1_0", " 3 ", "abc", ""]
+
+
+@st.composite
+def peak_texts(draw):
+    """csv-like peak lists, mostly plain "mz,ab" rows, with every kind of fault mixed in."""
+    plain = st.builds("{},{}".format, st.sampled_from(FIELDS[:5]), st.sampled_from(FIELDS[:5]))
+    odd = st.builds(lambda fields, sep: sep.join(fields),
+                    st.lists(st.sampled_from(FIELDS), max_size=3),
+                    st.sampled_from([",", ",,", ""]))
+    line = st.one_of(plain, plain, plain, odd, st.sampled_from(["", "   ", "# note"]))
+    rows = draw(st.lists(line, max_size=8))
+    ends = draw(st.lists(st.sampled_from(["\n", "\n", "\r\n", "\x0c"]),
+                         min_size=len(rows), max_size=len(rows)))
+    text = "".join(row + end for row, end in zip(rows, ends))
+    return text if draw(st.booleans()) else text[:-1]
+
+
+class TestColumnParse:
+    """parse_spectrum's column pass against the line loop it falls back to."""
+
+    @given(peak_texts())
+    @example("1,2,3\n4")
+    @example("1,2\n3,4,5\n6")
+    @example("26.98,-0")
+    @example("26.98,-0\n55.95,100\n")
+    @example("26.98,40\n55.95,nan")
+    @example("1,nan\n2,3")
+    @example("1e308,1e308\n2,1e308")
+    @example("55.95,100\n26.98,10\n55.95,3\n26.98,70\n26.98,40")
+    @example("26.98,40\n\n55.95,100")
+    @example("")
+    def test_same_as_line_loop(self, text):
+        assert parsed(parse_spectrum, text) == \
+            parsed(lambda t: _parse_lines(t, "csv"), text)
+
+    @given(spectra())
+    def test_plain_text_takes_column_pass(self, s):
+        text = serialize_spectrum(s)
+        assert _parse_columns(text, "", None).points == s.points
+
+    @pytest.mark.parametrize("text", [
+        "1,2,3\n4", "26.98,40\n\n55.95,100", "26.98,40\r\n", "26.98,4é", "1,nan", "1,1e999",
+        "0,1", "2,1\n0,1", "1,abc", "",
+    ])
+    def test_falls_back(self, text):
+        assert _parse_columns(text, "", None) is None
 
 
 class TestDirectConstruction:
