@@ -78,19 +78,9 @@ def harden_values(values: dict, nu: float) -> tuple:
     return best_code, best
 
 
-def harden(mv: MembershipVector, nu: float, unk_if_second_above: Optional[float] = None) -> Classification:
-    """Collapse a membership vector to a single label by harden_values().
-
-    ``unk_if_second_above`` optionally forces UNK when a second class is
-    also high (overlapping phases); off by default since no standard
-    threshold exists.
-    """
-    label, confidence = harden_values(mv.values, nu)
-    if label != UNK and unk_if_second_above is not None:
-        runner_up = max((v for c, v in mv.values.items() if c != label), default=0.0)
-        if runner_up >= unk_if_second_above:
-            return Classification(UNK, 1.0 - confidence)
-    return Classification(label, confidence)
+def harden(mv: MembershipVector, nu: float) -> Classification:
+    """Collapse a membership vector to a single label by harden_values()."""
+    return Classification(*harden_values(mv.values, nu))
 
 
 @dataclass

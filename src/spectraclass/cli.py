@@ -50,7 +50,7 @@ def load_rules(spec: str, epsilon=None, nu=None):
     elif spec.startswith("builtin:"):
         raise SpectraClassError(f"unknown builtin rule base {spec!r}")
     else:
-        rb = parse_rulebase(Path(spec).read_text(encoding="utf-8"))
+        rb = _read_input(spec, parse_rulebase)
     if epsilon is not None:
         rb.options.epsilon = epsilon
     if nu is not None:
@@ -190,24 +190,28 @@ def build_parser() -> argparse.ArgumentParser:
                              description="Fuzzy-logic classification of mass spectra")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_ArgumentParser)
 
-    def add_rules_opts(p):
+    def add_rules(p):
         p.add_argument("--rules", default=os.environ.get(RULES_ENV, "builtin:basalt"),
                        help="rule-base DSL path or builtin:basalt "
                             f"(default from ${RULES_ENV} if set)")
+
+    def add_overrides(p):
         p.add_argument("--epsilon", type=float, default=None,
                        help="override m/z match window")
         p.add_argument("--nu", type=float, default=None,
                        help="override minimum membership for a hard label")
 
     p = sub.add_parser("classify", help="classify spectra and write a batch CSV")
-    add_rules_opts(p)
+    add_rules(p)
+    add_overrides(p)
     p.add_argument("inputs", nargs="+", help="spectrum files or globs")
     p.add_argument("--workers", type=_positive_int, default=1, help="parallel workers")
     p.add_argument("--out", help="output CSV path (default stdout)")
     p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("stats", help="ensemble statistics and class-vs-ensemble reports")
-    add_rules_opts(p)
+    add_rules(p)
+    add_overrides(p)
     p.add_argument("inputs", nargs="+", help="spectrum files or globs")
     p.add_argument("--group-by", choices=("label", "directory"), default="label")
     p.add_argument("--mode", choices=("present-mean", "zero-inclusive-mean"),
@@ -227,7 +231,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_map)
 
     p = sub.add_parser("validate-rules", help="parse a rule base and report diagnostics")
-    add_rules_opts(p)
+    add_rules(p)
     p.set_defaults(func=cmd_validate_rules)
     return parser
 

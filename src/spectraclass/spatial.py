@@ -182,6 +182,9 @@ def read_grid_csv(text: str) -> SampleGrid:
                 error = ParseError(f"column mu_{UNK}: {UNK} is the unknown label, not a class",
                                    line=lineno)
             idx = {name: k for k, name in enumerate(columns)}
+            if error is None and len(idx) < len(columns):
+                dup = next(c for k, c in enumerate(columns) if idx[c] != k)
+                error = ParseError(f"duplicate column {dup!r}", line=lineno)
             mu_columns = [(c, idx[f"mu_{c}"]) for c in class_codes]
             kid, kx, ky = idx.get("id"), idx.get("x"), idx.get("y")
             continue

@@ -77,33 +77,23 @@ class Spectrum:
         return max(p[1] for p in self.points)
 
 
-def parse_spectrum(source, format="csv", id="", position=None) -> Spectrum:
-    """Parse a peak list from text.
+def parse_spectrum(text: str, id="", position=None) -> Spectrum:
+    """Parse a csv peak list, ``mz,abundance`` per line.
 
-    ``csv`` expects ``mz,abundance`` per line; ``msp-like`` expects two
-    whitespace-separated columns. Blank lines and ``#`` comments are
-    skipped. Duplicate m/z rows merge keeping the maximum abundance.
+    Blank lines and ``#`` comments are skipped. Duplicate m/z rows merge
+    keeping the maximum abundance.
 
-    ``csv`` text with no ``#`` and no ``-`` whose every line holds exactly
-    one comma is read column-wise: all fields go through ``float`` in one
+    Text with no ``#`` and no ``-`` whose every line holds exactly one
+    comma is read column-wise: all fields go through ``float`` in one
     pass and are checked as whole columns. Any text that pass cannot take
-    as it stands, and all ``msp-like`` text, is read line by line, which
-    is also where every error and its line number comes from. Both give
-    the same points.
+    as it stands is read line by line, which is also where every error
+    and its line number comes from. Both give the same points.
     """
-    if hasattr(source, "read"):
-        text = source.read()
-    elif isinstance(source, str):
-        text = source
-    else:
-        text = "\n".join(source)
-    if format not in ("csv", "msp-like"):
-        raise ValueError(f"unknown spectrum format {format!r}")
-    if format == "csv" and "#" not in text and "-" not in text:
+    if "#" not in text and "-" not in text:
         s = _parse_columns(text, id, position)
         if s is not None:
             return s
-    return _parse_lines(text, format, id, position)
+    return _parse_lines(text, id, position)
 
 
 def _parse_columns(text: str, id, position) -> Optional[Spectrum]:
@@ -144,15 +134,14 @@ def _parse_columns(text: str, id, position) -> Optional[Spectrum]:
     return s
 
 
-def _parse_lines(text: str, format: str, id="", position=None) -> Spectrum:
+def _parse_lines(text: str, id="", position=None) -> Spectrum:
     """Read ``text`` line by line, checking each row once; the source of every parse error."""
-    sep = "," if format == "csv" else None
     pts = []
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
         if not line or line[0] == "#":
             continue
-        parts = line.split(sep)
+        parts = line.split(",")
         if len(parts) != 2:
             raise ParseError(f"expected 2 fields, got {len(parts)}", line=lineno)
         try:

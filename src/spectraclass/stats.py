@@ -15,6 +15,13 @@ from .classify import fmt
 from .errors import EmptyEnsemble, IncompatibleDBs
 from .spectrum import Spectrum
 
+# Report presentation defaults, not derived quantities: the ratio flag
+# thresholds and the histogram's bar width (characters) and ratio cap.
+KEY_RATIO = 2.0
+LOW_RATIO = 0.5
+HISTOGRAM_WIDTH = 40
+HISTOGRAM_CAP = 5.0
+
 
 @dataclass
 class StatBin:
@@ -103,41 +110,6 @@ def build_statdb(spectra, eps: float) -> StatDB:
     return StatDB(bins=bins, n_spectra=len(spectra), eps=eps)
 
 
-def merge_statdbs(a: StatDB, b: StatDB) -> StatDB:
-    """Bin-wise merge of two DBs built with the same eps.
-
-    Bins whose centers lie within eps combine; others carry over.
-    """
-    if a.eps != b.eps:
-        raise IncompatibleDBs(f"eps mismatch: {a.eps} vs {b.eps}")
-    eps = a.eps
-    ai, bi = 0, 0
-    bins = []
-    while ai < len(a.bins) or bi < len(b.bins):
-        if ai < len(a.bins) and bi < len(b.bins) and abs(a.bins[ai].phi - b.bins[bi].phi) <= eps:
-            x, y = a.bins[ai], b.bins[bi]
-            c = x.c + y.c
-            bins.append(StatBin(
-                phi=(x.phi * x.c + y.phi * y.c) / c,
-                c=c,
-                a_tot=x.a_tot + y.a_tot,
-                a_tot2=x.a_tot2 + y.a_tot2,
-                a_max=max(x.a_max, y.a_max),
-                a_min=min(x.a_min, y.a_min),
-            ))
-            ai += 1
-            bi += 1
-        elif bi >= len(b.bins) or (ai < len(a.bins) and a.bins[ai].phi < b.bins[bi].phi):
-            x = a.bins[ai]
-            bins.append(StatBin(x.phi, x.c, x.a_tot, x.a_tot2, x.a_max, x.a_min))
-            ai += 1
-        else:
-            y = b.bins[bi]
-            bins.append(StatBin(y.phi, y.c, y.a_tot, y.a_tot2, y.a_max, y.a_min))
-            bi += 1
-    return StatDB(bins=bins, n_spectra=a.n_spectra + b.n_spectra, eps=eps)
-
-
 def full_presence_bins(db: StatDB):
     """Bins present in every accumulated spectrum: candidate positive cues."""
     return [b for b in db.bins if b.c == db.n_spectra]
@@ -155,9 +127,7 @@ class ReportRow:
 
 
 def class_vs_ensemble_report(class_db: StatDB, ensemble_db: StatDB,
-                             mode: str = "present-mean",
-                             key_ratio: float = 2.0,
-                             low_ratio: float = 0.5):
+                             mode: str = "present-mean"):
     """Per-bin ratio of class mean abundance to ensemble mean abundance.
 
     ``present-mean`` averages over spectra that contain the peak;
@@ -165,8 +135,8 @@ def class_vs_ensemble_report(class_db: StatDB, ensemble_db: StatDB,
     surfaces ions distinguishing a class by their LOW abundance. Class
     bins with no ensemble match within eps get an infinite ratio and the
     "unique" flag. Bins not present in every class spectrum are flagged
-    "partial-presence". Ratio flag thresholds are report presentation
-    defaults, not derived quantities.
+    "partial-presence". A ratio of at least KEY_RATIO flags a
+    "key-candidate", one of at most LOW_RATIO a "low-candidate".
     """
     if mode not in ("present-mean", "zero-inclusive-mean"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -186,7 +156,7 @@ def class_vs_ensemble_report(class_db: StatDB, ensemble_db: StatDB,
 
     def mean_of(b, db):
         if mode == "present-mean":
-            return b.a_tot / b.c
+            return b.mean()
         return b.a_tot / db.n_spectra
 
     rows = []
@@ -200,9 +170,9 @@ def class_vs_ensemble_report(class_db: StatDB, ensemble_db: StatDB,
         else:
             em = mean_of(eb, ensemble_db)
             ratio = math.inf if em == 0 else cm / em
-            if ratio >= key_ratio:
+            if ratio >= KEY_RATIO:
                 flag = "key-candidate"
-            elif ratio <= low_ratio:
+            elif ratio <= LOW_RATIO:
                 flag = "low-candidate"
             else:
                 flag = "-"
@@ -221,11 +191,11 @@ def write_report_csv(rows, stream) -> None:
         ]) + "\n")
 
 
-def render_histogram(rows, width: int = 40, cap: float = 5.0) -> str:
-    """Terminal bar chart of class-vs-ensemble ratios."""
+def render_histogram(rows) -> str:
+    """Terminal bar chart of class-vs-ensemble ratios, capped at HISTOGRAM_CAP."""
     lines = []
     for r in rows:
-        ratio = min(r.ratio, cap)
-        bar = "#" * max(1, round(ratio / cap * width)) if r.ratio > 0 else ""
-        lines.append(f"{r.phi:10.3f} |{bar:<{width}}| {fmt(r.ratio):>8} {r.flag}")
+        ratio = min(r.ratio, HISTOGRAM_CAP)
+        bar = "#" * max(1, round(ratio / HISTOGRAM_CAP * HISTOGRAM_WIDTH)) if r.ratio > 0 else ""
+        lines.append(f"{r.phi:10.3f} |{bar:<{HISTOGRAM_WIDTH}}| {fmt(r.ratio):>8} {r.flag}")
     return "\n".join(lines)

@@ -150,7 +150,6 @@ class TestHarden:
     def test_multi_high_option(self):
         mv = MembershipVector.from_values({"A": 0.9, "B": 0.85})
         assert harden(mv, 0.5).label == "A"
-        assert harden(mv, 0.5, unk_if_second_above=0.8).label == "UNK"
 
     def test_plain_dict_rule(self):
         assert harden_values({"B": 0.7, "A": 0.7}, 0.5) == ("B", 0.7)

@@ -27,6 +27,11 @@ def spectra_dir(tmp_path):
     return d
 
 
+# A rule file whose one term has l == h.
+BAD_THRESHOLDS = ('rulebase "x"\nion Fe = 55.954\n'
+                  'class X "x" {\n  term fe = high ( Fe , l = 5 , h = 5 )\n  expr = fe\n}\n')
+
+
 def read_csv(path):
     return path.read_text().splitlines()
 
@@ -77,6 +82,16 @@ class TestClassifyCmd:
         main(["classify", str(spectra_dir / "*.csv"), "--workers", "1", "--out", str(out1)])
         main(["classify", str(spectra_dir / "*.csv"), "--workers", "8", "--out", str(out2)])
         assert out1.read_bytes() == out2.read_bytes()
+
+    @pytest.mark.parametrize("content, message", [
+        (BAD_THRESHOLDS.encode(), "l must be < h, got l=5.0, h=5.0"),
+        (b"\xff\n", "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"),
+    ], ids=["l-equals-h", "not-utf-8"])
+    def test_bad_rules_file_named(self, spectra_dir, tmp_path, capsys, content, message):
+        bad = tmp_path / "bad.rules"
+        bad.write_bytes(content)
+        assert main(["classify", str(spectra_dir / "agt.csv"), "--rules", str(bad)]) == EX_FATAL
+        assert capsys.readouterr().err == f"spectraclass: error: {bad}: {message}\n"
 
     @pytest.mark.parametrize("flag", ["--epsilon", "--nu"])
     @pytest.mark.parametrize("value", ["nan", "inf"])
@@ -314,6 +329,25 @@ class TestValidateCmd:
                        "  expr = nope\n}\n")
         assert main(["validate-rules", "--rules", str(bad)]) == EX_FATAL
 
+    def test_bad_rules_file_named(self, tmp_path, capsys):
+        bad = tmp_path / "bad.rules"
+        bad.write_text(BAD_THRESHOLDS)
+        assert main(["validate-rules", "--rules", str(bad)]) == EX_FATAL
+        assert capsys.readouterr().err.startswith(f"spectraclass: error: {bad}: ")
+
+    def test_missing_rules_file_keeps_os_message(self, tmp_path, capsys):
+        missing = tmp_path / "missing.rules"
+        assert main(["validate-rules", "--rules", str(missing)]) == EX_FATAL
+        assert capsys.readouterr().err == \
+            f"spectraclass: error: [Errno 2] No such file or directory: {str(missing)!r}\n"
+
+    @pytest.mark.parametrize("flag", ["--nu", "--epsilon"])
+    def test_overrides_are_usage_errors(self, capsys, flag):
+        with pytest.raises(SystemExit) as exc:
+            main(["validate-rules", flag, "0.7"])
+        assert exc.value.code == EX_USAGE
+        assert f"unrecognized arguments: {flag} 0.7" in capsys.readouterr().err
+
     @pytest.mark.parametrize("text", [
         'rulebase "empty"\n',
         'rulebase "x"\nion Fe = 55.954\n'
@@ -367,7 +401,7 @@ FUZZ_OPTIONS = {
     "classify": ["--rules", "--epsilon", "--nu", "--workers", "--out"],
     "stats": ["--rules", "--epsilon", "--nu", "--group-by", "--mode", "--out"],
     "map": ["--nu", "--floor", "--topology", "--palette", "--out"],
-    "validate-rules": ["--rules", "--epsilon", "--nu"],
+    "validate-rules": ["--rules"],
 }
 FUZZ_CHOICES = ["builtin:basalt", "builtin:nope", "{d}/bad.rules", "label", "directory",
                 "present-mean", "zero-inclusive-mean", "rect", "hex", "{d}/palette.txt"]

@@ -215,6 +215,16 @@ class TestGridIO:
         with pytest.raises(ParseError, match=r"expected 7 fields \(line 5\)"):
             read_grid_csv(text + "# cols: 2\n")
 
+    @pytest.mark.parametrize("column", ["mu_AGT", "x"])
+    def test_duplicate_column_rejected(self, column):
+        head, body = GRID_CSV.split("id,", 1)
+        header, rows = body.split("\n", 1)
+        text = head + "id," + header + f",{column}\n" + rows.replace("\n", ",0.5\n")
+        with pytest.raises(ParseError, match=rf"duplicate column '{column}' \(line 4\)"):
+            read_grid_csv(text)
+        with pytest.raises(ParseError, match="missing grid header '# rows:'"):
+            read_grid_csv(text.replace("# rows: 2\n", ""))
+
     @pytest.mark.parametrize("rows,cols", [(-1, -1), (0, 0), (0, 2), (2, 0)])
     def test_size_below_one_rejected(self, rows, cols):
         text = GRID_CSV.replace("# rows: 2", f"# rows: {rows}").replace("# cols: 2", f"# cols: {cols}")

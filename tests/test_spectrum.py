@@ -58,10 +58,6 @@ class TestParse:
         s = parse_spectrum("# header\n\n26.98,40\n")
         assert s.points == ((26.98, 40.0),)
 
-    def test_msp_like(self):
-        s = parse_spectrum("26.98 40\n55.95\t100", format="msp-like")
-        assert s.points == ((26.98, 40.0), (55.95, 100.0))
-
     def test_duplicate_mz_merges_max(self):
         s = parse_spectrum("26.98,40\n26.98,70\n26.98,10")
         assert s.points == ((26.98, 70.0),)
@@ -87,7 +83,7 @@ class TestParse:
         with pytest.raises(DomainError, match="non-positive m/z on line 2"):
             parse_spectrum("26.98,40\n0,100\n")
 
-    @pytest.mark.parametrize("fmt, sep", [("csv", ","), ("msp-like", " ")])
+    @pytest.mark.parametrize("fmt, sep", [("csv", ",")])
     @pytest.mark.parametrize("row, reason", [
         ("55.954{}nan", "non-finite abundance"),
         ("55.954{}inf", "non-finite abundance"),
@@ -98,7 +94,7 @@ class TestParse:
     def test_non_finite_rejected_with_line(self, fmt, sep, row, reason):
         text = "\n".join(["200{}100".format(sep), row.format(sep)])
         with pytest.raises(DomainError, match=f"{reason} on line 2"):
-            parse_spectrum(text, format=fmt)
+            parse_spectrum(text)
 
     def test_negative_zero_abundance_reads_as_zero(self):
         s = parse_spectrum("26.98,-0\n55.95,100")
@@ -165,7 +161,7 @@ class TestColumnParse:
     @example("")
     def test_same_as_line_loop(self, text):
         assert parsed(parse_spectrum, text) == \
-            parsed(lambda t: _parse_lines(t, "csv"), text)
+            parsed(_parse_lines, text)
 
     @given(spectra())
     def test_plain_text_takes_column_pass(self, s):

@@ -13,7 +13,6 @@ from spectraclass.stats import (
     build_statdb,
     class_vs_ensemble_report,
     full_presence_bins,
-    merge_statdbs,
     peak_list,
 )
 
@@ -96,28 +95,6 @@ class TestBuildStatDB:
         db = build_statdb(spectra, 0.1)
         for b in db.bins:
             assert b.variance() >= -1e-9
-
-    def test_merge_matches_concatenation(self):
-        # bins constructed to coincide across the two halves
-        a1 = Spectrum(((26.98, 5.0), (55.95, 40.0)))
-        a2 = Spectrum(((26.99, 7.0), (55.96, 30.0)))
-        b1 = Spectrum(((26.98, 9.0), (55.95, 10.0)))
-        b2 = Spectrum(((26.99, 2.0), (55.96, 20.0)))
-        merged = merge_statdbs(build_statdb([a1, a2], 0.05), build_statdb([b1, b2], 0.05))
-        combined = build_statdb([a1, a2, b1, b2], 0.05)
-        assert merged.n_spectra == combined.n_spectra
-        assert len(merged.bins) == len(combined.bins)
-        for x, y in zip(merged.bins, combined.bins):
-            assert x.phi == pytest.approx(y.phi, abs=1e-9)
-            assert x.c == y.c
-            assert x.a_tot == pytest.approx(y.a_tot)
-            assert x.a_tot2 == pytest.approx(y.a_tot2)
-            assert (x.a_max, x.a_min) == (y.a_max, y.a_min)
-
-    def test_merge_eps_mismatch(self):
-        s = Spectrum(((26.98, 5.0),))
-        with pytest.raises(IncompatibleDBs):
-            merge_statdbs(build_statdb([s], 0.02), build_statdb([s], 0.05))
 
 
 class TestFullPresence:
