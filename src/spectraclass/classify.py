@@ -2,15 +2,17 @@
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_left, bisect_right
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
-from .errors import NoClasses, SpectraClassError
-from .fuzzy import eval_expr
+from .errors import DomainError, InvalidThresholds, NoClasses, SpectraClassError
+from .fuzzy import compile_expr, term_names
 from .rulebase import UNK, RuleBase
-from .spectrum import Spectrum, parse_spectrum, peak_abundance, scale_factor
+from .spectrum import Spectrum, parse_spectrum, scale_factor
 
 
 @dataclass(frozen=True)
@@ -33,30 +35,77 @@ class Classification:
     confidence: float
 
 
-def memberships(s: Spectrum, rb: RuleBase) -> MembershipVector:
-    """Full fuzzy evaluation of one spectrum.
+def compile_rules(rb: RuleBase):
+    """Compile ``rb`` into a function ``Spectrum -> MembershipVector``.
 
     Every class expression is evaluated from windowed peak lookups
     through its membership terms, on the scale set by the rule base's
-    normalization options. Each distinct ion is looked up once, on the
-    raw points, and rescaled by scale_factor(): the same value, bit for
-    bit, as a lookup in the normalized spectrum.
+    normalization options. Each distinct ion m/z used by an expression
+    gets one window, looked up once per spectrum on the raw points and
+    rescaled by scale_factor(): the same value, bit for bit, as a lookup
+    in the normalized spectrum. Each expression is compiled by
+    fuzzy.compile_expr(), so the result equals fuzzy.eval_expr() on the
+    same term values bit for bit.
+
+    Rule-base errors are raised here, once: no classes, an expression
+    naming a term its class does not declare, a negative epsilon, and
+    thresholds of a used term that are not finite with l < h and a finite
+    span h - l. Those checks keep every term value in [0,1], so the
+    compiled function checks none.
     """
     if not rb.classes:
         raise NoClasses("rule base has no classes")
     eps = rb.options.epsilon
-    factor = scale_factor(s, rb.excluded_ions(), eps)
-    abundance = {}  # ion m/z -> normalized windowed abundance
-    values = {}
+    if eps < 0:
+        raise DomainError("eps must be non-negative")
+    excluded = rb.excluded_ions()
+    slots = {}  # ion m/z -> window index
+    plan = []  # per used term: (window index, is high, l, h, h - l)
+    exprs = []
     for cr in rb.classes:
-        env = {}
+        used = term_names(cr.expr)
+        index = {}
         for name, (ion, fn) in cr.terms.items():
-            p = abundance.get(ion.mz)
-            if p is None:
-                p = abundance[ion.mz] = peak_abundance(s, ion, eps) * factor
-            env[name] = fn(p)
-        values[cr.code] = eval_expr(cr.expr, env)
-    return MembershipVector.from_values(values)
+            if name not in used:
+                continue
+            span = fn.h - fn.l
+            if not 0.0 < span < math.inf:  # also false for nan, l >= h and l or h infinite
+                raise InvalidThresholds(
+                    f"class {cr.code!r} term {name!r} needs finite l < h with a finite "
+                    f"span h - l, got l={fn.l}, h={fn.h}")
+            index[name] = len(plan)
+            plan.append((slots.setdefault(ion.mz, len(slots)), fn.polarity == "high",
+                         fn.l, fn.h, span))
+        exprs.append((cr.code, compile_expr(cr.expr, index)))
+    # The same floats peak_abundance() computes for each window.
+    windows = tuple((mz - eps, mz + eps) for mz in slots)
+
+    def classify_spectrum(s: Spectrum) -> MembershipVector:
+        factor = scale_factor(s, excluded, eps)
+        mzs, points = s.mzs, s.points
+        p = []
+        for lo_mz, hi_mz in windows:
+            lo = bisect_left(mzs, lo_mz)
+            hi = bisect_right(mzs, hi_mz)
+            if lo >= hi:
+                p.append(0.0)
+            elif hi - lo == 1:
+                p.append(points[lo][1] * factor)
+            else:
+                p.append(max(ab for _, ab in points[lo:hi]) * factor)
+        mu = []
+        for slot, high, l, h, span in plan:
+            x = p[slot]
+            v = 0.0 if x < l else 1.0 if x >= h else (x - l) / span  # mu_high
+            mu.append(v if high else 1.0 - v)
+        return MembershipVector.from_values({code: expr(mu) for code, expr in exprs})
+
+    return classify_spectrum
+
+
+def memberships(s: Spectrum, rb: RuleBase) -> MembershipVector:
+    """Full fuzzy evaluation of one spectrum: ``compile_rules(rb)(s)``."""
+    return compile_rules(rb)(s)
 
 
 def harden_values(values: dict, nu: float) -> tuple:
@@ -93,12 +142,12 @@ class BatchResult:
 
 
 def _source_id(source) -> str:
-    """The id of a Spectrum, an (id, text) pair, or a file path (its stem)."""
+    """The id of a Spectrum, an (id, text) pair, or a Path (its stem)."""
     if isinstance(source, Spectrum):
         return source.id
     if isinstance(source, tuple):
         return source[0] if source else ""
-    return Path(source).stem
+    return source.stem
 
 
 def _resolve(source, sid: str) -> Spectrum:
@@ -107,24 +156,30 @@ def _resolve(source, sid: str) -> Spectrum:
     if isinstance(source, tuple):
         _, text = source
     else:
-        text = Path(source).read_text(encoding="utf-8")
+        text = source.read_text(encoding="utf-8")
     return parse_spectrum(text, id=sid)
 
 
 def classify_batch(sources, rb: RuleBase, workers: int = 1):
     """Classify many inputs; output order always matches input order.
 
-    Per-item failures become error records instead of aborting the batch.
+    Each source is a Spectrum, an ``(id, text)`` pair or a file path. The
+    rule base is compiled once, before any input is read, so its errors
+    raise from here; per-item failures become error records instead of
+    aborting the batch.
     """
     if workers < 1:
         raise ValueError("workers must be >= 1")
+    classify_spectrum = compile_rules(rb)
     nu = rb.options.nu
 
     def one(source):
+        if not isinstance(source, (Spectrum, tuple)):
+            source = Path(source)
         sid = _source_id(source)
         try:
             s = _resolve(source, sid)
-            mv = memberships(s, rb)
+            mv = classify_spectrum(s)
             return BatchResult(sid, mv, harden(mv, nu), position=s.position)
         except (SpectraClassError, OSError, ValueError) as exc:
             return BatchResult(sid, None, None, error=str(exc))

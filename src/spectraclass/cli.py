@@ -11,7 +11,7 @@ from collections import Counter
 from pathlib import Path
 
 from . import pixmap, spatial, stats
-from .classify import UNK, classify_batch, harden, memberships, write_batch_csv
+from .classify import UNK, classify_batch, compile_rules, harden, write_batch_csv
 from .errors import SpectraClassError
 from .rulebase import builtin_basalt, parse_rulebase, require_valid, validate
 from .spectrum import normalize, parse_spectrum
@@ -44,13 +44,19 @@ def _positive_int(text: str) -> int:
 
 
 def load_rules(spec: str, epsilon=None, nu=None):
-    """Resolve `builtin:basalt` or a DSL file path, then apply and validate CLI overrides."""
+    """Resolve `builtin:basalt` or a DSL file path, then apply and validate CLI overrides.
+
+    Parsing validates the rule base, so it is validated again only when an
+    override changed it.
+    """
     if spec == "builtin:basalt":
         rb = builtin_basalt()
     elif spec.startswith("builtin:"):
         raise SpectraClassError(f"unknown builtin rule base {spec!r}")
     else:
         rb = _read_input(spec, parse_rulebase)
+    if epsilon is None and nu is None:
+        return rb
     if epsilon is not None:
         rb.options.epsilon = epsilon
     if nu is not None:
@@ -101,6 +107,7 @@ def cmd_stats(args) -> int:
         raise SpectraClassError("no input spectra")
     eps = rb.options.epsilon
     excluded = rb.excluded_ions()
+    classify_spectrum = compile_rules(rb)
 
     groups: dict = {}
     group_dirs: dict = {}  # directory group key -> the directory it names
@@ -119,7 +126,7 @@ def cmd_stats(args) -> int:
                     f"directories {str(first)!r} and {str(parent)!r} "
                     f"share the group name {key!r}")
         else:
-            key = harden(memberships(s, rb), rb.options.nu).label
+            key = harden(classify_spectrum(s), rb.options.nu).label
         groups.setdefault(key, []).append(s)
 
     ensemble_db = stats.build_statdb(normalized, eps)

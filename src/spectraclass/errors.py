@@ -27,8 +27,8 @@ class CannotNormalize(SpectraClassError):
     pass
 
 
-class InvalidThresholds(SpectraClassError):
-    pass
+class InvalidThresholds(ParseError):
+    """Membership thresholds that are not finite with l < h; the DSL parser adds the term's line."""
 
 
 class UnknownTerm(SpectraClassError):

@@ -8,6 +8,7 @@ metals can accumulate into a strong OR) and makes AND stricter than min.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .errors import DomainError, InvalidThresholds, UnknownTerm
 
@@ -125,6 +126,49 @@ def eval_expr(expr, env: dict) -> float:
         return f_or(*(eval_expr(c, env) for c in expr.children))
     if isinstance(expr, Not):
         return f_not(eval_expr(expr.child, env))
+    raise TypeError(f"not an expression node: {expr!r}")
+
+
+def compile_expr(expr, index: dict):
+    """Compile an expression tree into a function of a list of term values.
+
+    ``index`` maps each term name to the position of its value in that
+    list. The function folds AND and OR left to right exactly as f_and()
+    and f_or() do, so it returns eval_expr()'s result bit for bit, but it
+    checks no value: the caller guarantees every term value is in [0,1],
+    and then every connective's result is too. An unknown name raises
+    UnknownTerm here, once, instead of on every evaluation.
+    """
+    if isinstance(expr, Term):
+        try:
+            return itemgetter(index[expr.name])
+        except KeyError:
+            raise UnknownTerm(expr.name) from None
+    if isinstance(expr, Not):
+        child = compile_expr(expr.child, index)
+        return lambda values: 1.0 - child(values)
+    if isinstance(expr, And):
+        children = tuple(compile_expr(c, index) for c in expr.children)
+
+        def conj(values):
+            out = 1.0
+            for c in children:
+                out = out * c(values)
+            return out
+        return conj
+    if isinstance(expr, Or):
+        children = tuple(compile_expr(c, index) for c in expr.children)
+
+        def disj(values):
+            out = 0.0
+            for c in children:
+                v = c(values)
+                if v == 1.0 or out == 1.0:
+                    out = 1.0
+                else:
+                    out = min(out + v - out * v, 1.0)
+            return out
+        return disj
     raise TypeError(f"not an expression node: {expr!r}")
 
 

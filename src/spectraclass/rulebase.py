@@ -12,7 +12,7 @@ import re
 from dataclasses import dataclass, field
 from importlib import resources
 
-from .errors import DuplicateName, ParseError, UnknownTerm
+from .errors import DuplicateName, InvalidThresholds, ParseError, UnknownTerm
 from .fuzzy import And, MembershipFn, Not, Or, Term, term_names
 from .spectrum import IonTarget
 
@@ -226,7 +226,11 @@ class _Parser:
                 h = float(self.expect(kind="NUMBER").value)
                 self.expect(value=")")
                 ion = IonTarget(ion_tok.value, rb.ions[ion_tok.value])
-                terms[name_tok.value] = (ion, MembershipFn(shape_tok.value, l, h))
+                try:
+                    fn = MembershipFn(shape_tok.value, l, h)
+                except InvalidThresholds as exc:
+                    raise InvalidThresholds(exc.args[0], tok.line, tok.col) from None
+                terms[name_tok.value] = (ion, fn)
             elif tok.value == "expr":
                 self.expect(value="=")
                 expr = self.expr()
@@ -324,6 +328,9 @@ def validate(rb: RuleBase):
             if not (math.isfinite(fn.l) and math.isfinite(fn.h)):
                 out.append(Diagnostic("error", f"class {cr.code!r} term {name!r} has a non-finite "
                                                f"threshold: l={fn.l}, h={fn.h}"))
+            elif not fn.h - fn.l < math.inf:
+                out.append(Diagnostic("error", f"class {cr.code!r} term {name!r} has a threshold "
+                                               f"span h - l that overflows: l={fn.l}, h={fn.h}"))
             if name not in used:
                 out.append(Diagnostic("warning", f"class {cr.code!r} declares unused term {name!r}"))
     return out

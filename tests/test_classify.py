@@ -11,15 +11,22 @@ from spectraclass.classify import (
     Classification,
     MembershipVector,
     classify_batch,
+    compile_rules,
     harden,
     harden_values,
     memberships,
     write_batch_csv,
 )
-from spectraclass.errors import CannotNormalize, NoClasses
-from spectraclass.fuzzy import eval_expr
-from spectraclass.rulebase import builtin_basalt
-from spectraclass.spectrum import Spectrum, normalize, peak_abundance
+from spectraclass.errors import (
+    CannotNormalize,
+    DomainError,
+    InvalidThresholds,
+    NoClasses,
+    UnknownTerm,
+)
+from spectraclass.fuzzy import And, MembershipFn, Not, Or, Term, eval_expr
+from spectraclass.rulebase import ClassRule, Options, RuleBase, builtin_basalt
+from spectraclass.spectrum import IonTarget, Spectrum, normalize, peak_abundance
 
 
 class TestMemberships:
@@ -109,6 +116,113 @@ class TestMembershipsEquivalence:
         s = make_spectrum({"Ca": 70.3, "Fe": 20.7, "Ti": 3.1}, filler=37.9)
         n = normalize(s)
         assert memberships(n, basalt).values == composed_memberships(n, basalt)
+
+
+# Thresholds and abundances from one small set, so that p often lands
+# exactly on l or h: the 0.0 and 1.0 branches of a term and OR's
+# absorbing 1 are all taken. -0.0 and 0.0 are both drawn, never as one
+# pair: a "-0" peak and l = -0 give memberships of either sign of zero.
+_LEVELS = [-0.0, 0.0, 0.5, 1.0, 10.0, 15.0, 17.0, 40.0, 50.0, 80.0, 100.0]
+
+
+def _exprs(names, depth):
+    leaf = st.sampled_from(names).map(Term)
+    if depth == 0:
+        return leaf
+    sub = _exprs(names, depth - 1)
+    return st.one_of(
+        leaf,
+        sub.map(Not),
+        st.lists(sub, min_size=2, max_size=3).map(lambda c: And(tuple(c))),
+        st.lists(sub, min_size=2, max_size=3).map(lambda c: Or(tuple(c))),
+    )
+
+
+@st.composite
+def random_rule_base_and_spectrum(draw):
+    """A rule base of 1-4 classes with expressions nested up to depth 4,
+    ions shared across classes and between symbols, excluded ions and
+    unused terms; and a spectrum with points on and one ulp beside the
+    edges of every ion window."""
+    eps = draw(st.sampled_from([0.05, 0.2, 1.0]))
+    mz_pool = draw(st.lists(st.sampled_from([24.312, 26.982, 27.1, 39.95, 55.954]),
+                            min_size=1, max_size=4))
+    ions = {f"I{i}": mz for i, mz in enumerate(mz_pool)}
+    excluded = tuple(draw(st.lists(st.sampled_from(sorted(ions)), max_size=2, unique=True)))
+    classes = []
+    for c in range(draw(st.integers(1, 4))):
+        terms = {}
+        for t in range(draw(st.integers(1, 4))):
+            sym = draw(st.sampled_from(sorted(ions)))
+            l, h = sorted(draw(st.lists(st.sampled_from(_LEVELS), min_size=2, max_size=2,
+                                        unique=True)))
+            polarity = draw(st.sampled_from(["high", "low"]))
+            terms[f"t{t}"] = (IonTarget(sym, ions[sym]), MembershipFn(polarity, l, h))
+        expr = draw(_exprs(sorted(terms), 4))
+        classes.append(ClassRule(f"C{c}", f"class {c}", terms, expr))
+    rb = RuleBase("random", ions, classes, Options(epsilon=eps, normalize_excluding=excluded))
+    abundance = st.one_of(st.sampled_from(_LEVELS + [200.0]), st.floats(0.0, 200.0))
+    points = {}
+    for mz in ions.values():
+        for edge in (mz - eps, mz, mz + eps):
+            step = draw(st.sampled_from([None, -1, 0, 1]))
+            if step is not None:
+                at = edge if step == 0 else math.nextafter(edge, math.inf * step)
+                points[at] = draw(abundance)
+    if draw(st.booleans()):
+        points[200.0] = draw(abundance)
+    if not points:
+        points[200.0] = 100.0
+    return rb, Spectrum(tuple(sorted(points.items())))
+
+
+class TestCompiledRules:
+    @given(random_rule_base_and_spectrum())
+    def test_equals_expression_tree(self, case):
+        rb, s = case
+        try:
+            expected = composed_memberships(s, rb)
+        except CannotNormalize as exc:
+            with pytest.raises(CannotNormalize, match=f"^{re.escape(str(exc))}$"):
+                compile_rules(rb)(s)
+            return
+        mv = compile_rules(rb)(s)
+        assert mv.values == expected
+        assert [repr(v) for v in mv.values.values()] == [repr(v) for v in expected.values()]
+        assert repr(mv.unk) == repr(1.0 - max(expected.values()))
+
+    @pytest.mark.parametrize("l, h", [
+        (-1e308, 1.5e308),  # h - l overflows
+        (float("nan"), 5.0),
+        (1.0, float("inf")),
+    ])
+    def test_bad_thresholds_rejected_when_compiled(self, basalt, l, h):
+        ion, _ = basalt.classes[0].terms["fe"]
+        basalt.classes[0].terms["fe"] = (ion, MembershipFn("high", l, h))
+        with pytest.raises(InvalidThresholds, match="^class 'ILM' term 'fe' needs finite"):
+            compile_rules(basalt)
+
+    def test_terms_differing_in_the_sign_of_a_zero_l_stay_apart(self):
+        # A "-0" peak: (-0.0 - 0.0) / h is -0.0, (-0.0 - -0.0) / h is 0.0.
+        fe = IonTarget("Fe", ION_MZ["Fe"])
+        classes = [ClassRule(code, code, {"fe": (fe, MembershipFn("high", l, 40.0))}, Term("fe"))
+                   for code, l in (("A", 0.0), ("B", -0.0))]
+        rb = RuleBase("zeros", {"Fe": fe.mz}, classes)
+        s = make_spectrum({"Fe": -0.0})
+        values = compile_rules(rb)(s).values
+        assert [repr(v) for v in values.values()] == ["-0.0", "0.0"]
+        assert values == composed_memberships(s, rb)
+
+    def test_negative_epsilon_rejected_when_compiled(self, basalt):
+        basalt.options.epsilon = -0.1
+        with pytest.raises(DomainError, match="^eps must be non-negative$"):
+            compile_rules(basalt)
+
+    def test_unused_term_is_not_compiled(self, basalt):
+        ion, _ = basalt.classes[0].terms["fe"]
+        basalt.classes[0].terms["spare"] = (ion, MembershipFn("high", float("nan"), 5.0))
+        s = make_spectrum({"Ti": 20, "Fe": 50, "Al": 0.2})
+        assert compile_rules(basalt)(s).values == composed_memberships(s, basalt)
 
 
 class TestHarden:
@@ -202,3 +316,13 @@ class TestBatch:
         out = io.StringIO()
         write_batch_csv(results, basalt.class_codes(), out)
         assert out.getvalue().splitlines()[2] == "bad,,,ERROR,,,,,"
+
+    @pytest.mark.parametrize("change, error", [
+        (lambda rb: rb.classes.clear(), NoClasses),
+        (lambda rb: setattr(rb.classes[1], "expr", And((Term("fe"), Term("nope")))), UnknownTerm),
+    ], ids=["no-classes", "unknown-term"])
+    def test_rule_base_error_raises_once(self, basalt, tmp_path, change, error):
+        # Raised before any input is read: the missing file gives no error row.
+        change(basalt)
+        with pytest.raises(error):
+            classify_batch([tmp_path / "missing.csv", ("s", spectrum_csv({"Al": 20}))], basalt)

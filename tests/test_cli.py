@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import spectrum_csv
-from spectraclass.cli import EX_FATAL, EX_OK, EX_PARTIAL, EX_USAGE, main
+from spectraclass import rulebase
+from spectraclass.cli import EX_FATAL, EX_OK, EX_PARTIAL, EX_USAGE, load_rules, main
 from spectraclass.rulebase import builtin_basalt, serialize_rulebase
 
 FIXTURES = {
@@ -30,6 +31,8 @@ def spectra_dir(tmp_path):
 # A rule file whose one term has l == h.
 BAD_THRESHOLDS = ('rulebase "x"\nion Fe = 55.954\n'
                   'class X "x" {\n  term fe = high ( Fe , l = 5 , h = 5 )\n  expr = fe\n}\n')
+# A rule file whose one term's span h - l overflows to inf.
+SPAN_OVERFLOWS = BAD_THRESHOLDS.replace("l = 5 , h = 5", "l = -1e308 , h = 1.5e308")
 
 
 def read_csv(path):
@@ -84,9 +87,11 @@ class TestClassifyCmd:
         assert out1.read_bytes() == out2.read_bytes()
 
     @pytest.mark.parametrize("content, message", [
-        (BAD_THRESHOLDS.encode(), "l must be < h, got l=5.0, h=5.0"),
+        (BAD_THRESHOLDS.encode(), "l must be < h, got l=5.0, h=5.0 (line 4, col 3)"),
         (b"\xff\n", "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"),
-    ], ids=["l-equals-h", "not-utf-8"])
+        (SPAN_OVERFLOWS.encode(), "class 'X' term 'fe' has a threshold span h - l that "
+                                  "overflows: l=-1e+308, h=1.5e+308"),
+    ], ids=["l-equals-h", "not-utf-8", "span-overflows"])
     def test_bad_rules_file_named(self, spectra_dir, tmp_path, capsys, content, message):
         bad = tmp_path / "bad.rules"
         bad.write_bytes(content)
@@ -99,6 +104,19 @@ class TestClassifyCmd:
         code = main(["classify", str(spectra_dir / "agt.csv"), flag, value])
         assert code == EX_FATAL
         assert flag[2:] in capsys.readouterr().err
+
+
+class TestLoadRules:
+    @pytest.mark.parametrize("spec", ["builtin:basalt", "file"])
+    def test_validated_once_without_overrides(self, tmp_path, monkeypatch, spec):
+        if spec == "file":
+            spec = tmp_path / "basalt.rules"
+            spec.write_text(serialize_rulebase(builtin_basalt()))
+        calls = []
+        validate = rulebase.validate
+        monkeypatch.setattr(rulebase, "validate", lambda rb: calls.append(rb) or validate(rb))
+        load_rules(str(spec))
+        assert len(calls) == 1
 
 
 class TestStatsCmd:

@@ -9,6 +9,7 @@ from spectraclass.fuzzy import (
     Not,
     Or,
     Term,
+    compile_expr,
     eval_expr,
     f_and,
     f_not,
@@ -146,3 +147,18 @@ class TestEvalExpr:
             env = {n: rng.random() for n in names}
             v = eval_expr(expr, env)
             assert 0.0 <= v <= 1.0
+
+    def test_compiled_equals_tree(self):
+        rng = random.Random(8)
+        names = ["a", "b", "c", "d"]
+        index = {n: i for i, n in enumerate(names)}
+        for _ in range(500):
+            expr = random_expr(rng, names)
+            # exact 0s and 1s take OR's absorbing branch and AND's zero
+            values = [rng.choice([0.0, 1.0, rng.random()]) for _ in names]
+            expected = eval_expr(expr, dict(zip(names, values)))
+            assert repr(compile_expr(expr, index)(values)) == repr(expected)
+
+    def test_compile_unknown_term(self):
+        with pytest.raises(UnknownTerm, match="^unknown term: 'missing'$"):
+            compile_expr(And((Term("a"), Not(Term("missing")))), {"a": 0})

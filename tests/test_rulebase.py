@@ -63,6 +63,13 @@ class TestParser:
         with pytest.raises(InvalidThresholds):
             parse_rulebase(src)
 
+    def test_bad_thresholds_give_the_term_line(self):
+        src = MINIMAL.replace("l = 1 , h = 40", "l = 5 , h = 5")
+        with pytest.raises(ParseError, match=r"^l must be < h, got l=5.0, h=5.0 \(line 5, col 3\)$") as exc:
+            parse_rulebase(src)
+        assert isinstance(exc.value, InvalidThresholds)
+        assert (exc.value.line, exc.value.col) == (5, 3)
+
     def test_syntax_error_position(self):
         with pytest.raises(ParseError) as exc:
             parse_rulebase('rulebase "x"\nion = 5')
@@ -202,6 +209,15 @@ class TestValidate:
     def test_ion_mz_overflowing_to_inf_rejected(self):
         with pytest.raises(ParseError, match="ion 'Fe' has non-finite m/z inf"):
             parse_rulebase(MINIMAL.replace("ion Fe = 55.954", "ion Fe = 1e999"))
+
+    def test_threshold_span_overflow_rejected(self):
+        rb = self._tiny()
+        fe = IonTarget("Fe", 55.954)
+        rb.classes[0].terms["fe"] = (fe, MembershipFn("high", -1e308, 1.5e308))
+        assert [d.message for d in validate(rb)] == [
+            "class 'X' term 'fe' has a threshold span h - l that overflows: l=-1e+308, h=1.5e+308"]
+        with pytest.raises(ParseError, match="span h - l that overflows"):
+            parse_rulebase(MINIMAL.replace("l = 1 , h = 40", "l = -1e308 , h = 1.5e308"))
 
     def test_threshold_overflowing_to_inf_rejected(self):
         with pytest.raises(ParseError, match="term 'fe' has a non-finite threshold"):
