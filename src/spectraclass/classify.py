@@ -2,14 +2,13 @@
 
 from __future__ import annotations
 
-import math
 from bisect import bisect_left, bisect_right
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
-from .errors import DomainError, InvalidThresholds, NoClasses, SpectraClassError
+from .errors import NoClasses, SpectraClassError
 from .fuzzy import compile_expr, term_names
 from .rulebase import UNK, RuleBase
 from .spectrum import Spectrum, parse_spectrum, scale_factor
@@ -47,17 +46,14 @@ def compile_rules(rb: RuleBase):
     fuzzy.compile_expr(), so the result equals fuzzy.eval_expr() on the
     same term values bit for bit.
 
-    Rule-base errors are raised here, once: no classes, an expression
-    naming a term its class does not declare, a negative epsilon, and
-    thresholds of a used term that are not finite with l < h and a finite
-    span h - l. Those checks keep every term value in [0,1], so the
-    compiled function checks none.
+    Rule-base errors are raised here, once: no classes, and an expression
+    naming a term its class does not declare. Options and MembershipFn
+    check their own values when built, which keeps every term value in
+    [0,1], so the compiled function checks none.
     """
     if not rb.classes:
         raise NoClasses("rule base has no classes")
     eps = rb.options.epsilon
-    if eps < 0:
-        raise DomainError("eps must be non-negative")
     excluded = rb.excluded_ions()
     slots = {}  # ion m/z -> window index
     plan = []  # per used term: (window index, is high, l, h, h - l)
@@ -68,14 +64,9 @@ def compile_rules(rb: RuleBase):
         for name, (ion, fn) in cr.terms.items():
             if name not in used:
                 continue
-            span = fn.h - fn.l
-            if not 0.0 < span < math.inf:  # also false for nan, l >= h and l or h infinite
-                raise InvalidThresholds(
-                    f"class {cr.code!r} term {name!r} needs finite l < h with a finite "
-                    f"span h - l, got l={fn.l}, h={fn.h}")
             index[name] = len(plan)
             plan.append((slots.setdefault(ion.mz, len(slots)), fn.polarity == "high",
-                         fn.l, fn.h, span))
+                         fn.l, fn.h, fn.h - fn.l))
         exprs.append((cr.code, compile_expr(cr.expr, index)))
     # The same floats peak_abundance() computes for each window.
     windows = tuple((mz - eps, mz + eps) for mz in slots)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import glob
 import math
 import os
@@ -13,7 +14,7 @@ from pathlib import Path
 from . import pixmap, spatial, stats
 from .classify import UNK, classify_batch, compile_rules, harden, write_batch_csv
 from .errors import SpectraClassError
-from .rulebase import builtin_basalt, parse_rulebase, require_valid, validate
+from .rulebase import builtin_basalt, parse_rulebase, validate
 from .spectrum import normalize, parse_spectrum
 
 EX_OK = 0
@@ -44,10 +45,9 @@ def _positive_int(text: str) -> int:
 
 
 def load_rules(spec: str, epsilon=None, nu=None):
-    """Resolve `builtin:basalt` or a DSL file path, then apply and validate CLI overrides.
+    """Resolve `builtin:basalt` or a DSL file path, then apply CLI overrides.
 
-    Parsing validates the rule base, so it is validated again only when an
-    override changed it.
+    Parsing validates the rule base; Options checks each override.
     """
     if spec == "builtin:basalt":
         rb = builtin_basalt()
@@ -55,13 +55,10 @@ def load_rules(spec: str, epsilon=None, nu=None):
         raise SpectraClassError(f"unknown builtin rule base {spec!r}")
     else:
         rb = _read_input(spec, parse_rulebase)
-    if epsilon is None and nu is None:
-        return rb
-    if epsilon is not None:
-        rb.options.epsilon = epsilon
-    if nu is not None:
-        rb.options.nu = nu
-    return require_valid(rb)
+    overrides = {name: value for name, value in (("epsilon", epsilon), ("nu", nu))
+                 if value is not None}
+    rb.options = dataclasses.replace(rb.options, **overrides)
+    return rb
 
 
 def expand_inputs(patterns):
@@ -109,14 +106,21 @@ def cmd_stats(args) -> int:
     excluded = rb.excluded_ions()
     classify_spectrum = compile_rules(rb)
 
+    by_label = args.group_by == "label"
+
+    def read(text, id):
+        """The normalized spectrum to bin and, by label, the label classify gives the raw one."""
+        raw = parse_spectrum(text, id=id)
+        label = harden(classify_spectrum(raw), rb.options.nu).label if by_label else None
+        return normalize(raw, excluded, eps), label
+
     groups: dict = {}
     group_dirs: dict = {}  # directory group key -> the directory it names
     normalized = []
     for path in inputs:
-        s = _read_input(path, lambda text: normalize(
-            parse_spectrum(text, id=Path(path).stem), excluded, eps))
+        s, key = _read_input(path, lambda text: read(text, Path(path).stem))
         normalized.append(s)
-        if args.group_by == "directory":
+        if not by_label:
             parent = Path(path).parent
             # "." and ".." name no directory; abspath gives the one they mean.
             key = Path(os.path.abspath(parent)).name
@@ -125,8 +129,6 @@ def cmd_stats(args) -> int:
                 raise SpectraClassError(
                     f"directories {str(first)!r} and {str(parent)!r} "
                     f"share the group name {key!r}")
-        else:
-            key = harden(classify_spectrum(s), rb.options.nu).label
         groups.setdefault(key, []).append(s)
 
     ensemble_db = stats.build_statdb(normalized, eps)
@@ -153,9 +155,8 @@ def _read_input(path, parse):
 
 
 def cmd_map(args) -> int:
-    nu = args.nu if args.nu is not None else 0.5
-    if not 0.0 <= nu <= 1.0:  # also false for nan
-        raise SpectraClassError(f"--nu must be in [0,1], got {nu}")
+    if not 0.0 <= args.nu <= 1.0:  # also false for nan
+        raise SpectraClassError(f"--nu must be in [0,1], got {args.nu}")
     if args.floor is not None and not math.isfinite(args.floor):
         raise SpectraClassError(f"--floor must be finite, got {args.floor}")
     grid = _read_input(args.input, spatial.read_grid_csv)
@@ -163,8 +164,8 @@ def cmd_map(args) -> int:
         grid.topology = {"rect": spatial.RECTANGULAR, "hex": spatial.HEXAGONAL}[args.topology]
     palette = _read_input(args.palette, pixmap.load_palette) if args.palette else None
 
-    pre = spatial.classify_spots(grid, nu)
-    post = spatial.reclassify_map(grid, nu, floor=args.floor, _pre=pre)
+    pre = spatial.classify_spots(grid, args.nu)
+    post = spatial.reclassify_map(grid, args.nu, floor=args.floor, _pre=pre)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
@@ -228,7 +229,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("map", help="render classification maps with neighbor smoothing")
     p.add_argument("input", help="grid CSV (batch CSV with topology headers)")
-    p.add_argument("--nu", type=float, default=None, help="hard-label threshold (default 0.5)")
+    p.add_argument("--nu", type=float, default=0.5, help="hard-label threshold (default 0.5)")
     p.add_argument("--floor", type=float, default=None,
                    help="keep a spot UNK when its best smoothed value is below this")
     p.add_argument("--topology", choices=("rect", "hex"), default=None,

@@ -7,6 +7,7 @@ metals can accumulate into a strong OR) and makes AND stricter than min.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from operator import itemgetter
 
@@ -63,7 +64,7 @@ def f_or(*values: float) -> float:
 
 @dataclass(frozen=True)
 class MembershipFn:
-    """A high- or low-abundance requirement with thresholds l < h."""
+    """A high- or low-abundance requirement: finite thresholds l < h with a finite span h - l."""
 
     polarity: str  # "high" | "low"
     l: float
@@ -72,8 +73,10 @@ class MembershipFn:
     def __post_init__(self):
         if self.polarity not in ("high", "low"):
             raise ValueError(f"polarity must be 'high' or 'low', got {self.polarity!r}")
-        if self.l >= self.h:
+        if not self.l < self.h:  # also true for a nan threshold
             raise InvalidThresholds(f"l must be < h, got l={self.l}, h={self.h}")
+        if not self.h - self.l < math.inf:  # also true for an infinite threshold
+            raise InvalidThresholds(f"thresholds need a finite span h - l, got l={self.l}, h={self.h}")
 
     def __call__(self, p: float) -> float:
         if self.polarity == "high":

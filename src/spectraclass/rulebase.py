@@ -9,21 +9,32 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from importlib import resources
 
-from .errors import DuplicateName, InvalidThresholds, ParseError, UnknownTerm
+from .errors import DomainError, DuplicateName, InvalidThresholds, ParseError, UnknownTerm
 from .fuzzy import And, MembershipFn, Not, Or, Term, term_names
 from .spectrum import IonTarget
 
 UNK = "UNK"  # label of a spectrum no class claims; reserved as a class code
 
 
-@dataclass
+@dataclass(frozen=True)
 class Options:
+    """Rule-base options, checked when built; frozen, so change one with dataclasses.replace()."""
+
     epsilon: float = 0.2  # m/z match window; implementation default, overridable per file
     nu: float = 0.5
     normalize_excluding: tuple = ()
+
+    def __post_init__(self):
+        errors = []
+        if not 0.0 < self.epsilon < math.inf:
+            errors.append(f"epsilon must be finite and > 0, got {self.epsilon}")
+        if not 0.0 <= self.nu <= 1.0:
+            errors.append(f"nu out of range [0,1]: {self.nu}")
+        if errors:
+            raise DomainError("; ".join(errors))
 
 
 @dataclass
@@ -155,16 +166,8 @@ class _Parser:
             raise DuplicateName(f"option {name!r} set twice")
         seen.add(name)
         self.expect(value="=")
-        if name == "epsilon":
-            val = float(self.expect(kind="NUMBER").value)
-            if val <= 0:
-                raise ParseError("epsilon must be > 0", name_tok.line, name_tok.col)
-            rb.options.epsilon = val
-        elif name == "nu":
-            val = float(self.expect(kind="NUMBER").value)
-            if not 0.0 <= val <= 1.0:
-                raise ParseError("nu must be in [0,1]", name_tok.line, name_tok.col)
-            rb.options.nu = val
+        if name in ("epsilon", "nu"):
+            value = float(self.expect(kind="NUMBER").value)
         elif name == "normalize_excluding":
             self.expect(value="[")
             symbols = [self.expect(kind="IDENT").value]
@@ -172,9 +175,10 @@ class _Parser:
                 self.next()
                 symbols.append(self.expect(kind="IDENT").value)
             self.expect(value="]")
-            rb.options.normalize_excluding = tuple(symbols)
+            value = tuple(symbols)
         else:
             raise ParseError(f"unknown option {name!r}", name_tok.line, name_tok.col)
+        rb.options = _checked(name_tok, replace, rb.options, **{name: value})
 
     def ion(self, rb):
         sym_tok = self.expect(kind="IDENT")
@@ -182,8 +186,7 @@ class _Parser:
             raise DuplicateName(f"ion {sym_tok.value!r} declared twice")
         self.expect(value="=")
         mz = float(self.expect(kind="NUMBER").value)
-        if mz <= 0:
-            raise ParseError("ion m/z must be positive", sym_tok.line, sym_tok.col)
+        _checked(sym_tok, IonTarget, sym_tok.value, mz)
         rb.ions[sym_tok.value] = mz
 
     def class_rule(self, rb):
@@ -226,11 +229,7 @@ class _Parser:
                 h = float(self.expect(kind="NUMBER").value)
                 self.expect(value=")")
                 ion = IonTarget(ion_tok.value, rb.ions[ion_tok.value])
-                try:
-                    fn = MembershipFn(shape_tok.value, l, h)
-                except InvalidThresholds as exc:
-                    raise InvalidThresholds(exc.args[0], tok.line, tok.col) from None
-                terms[name_tok.value] = (ion, fn)
+                terms[name_tok.value] = (ion, _checked(tok, MembershipFn, shape_tok.value, l, h))
             elif tok.value == "expr":
                 self.expect(value="=")
                 expr = self.expr()
@@ -272,6 +271,16 @@ class _Parser:
         raise ParseError(f"expected term, 'not' or '(', got {tok.value!r}", tok.line, tok.col)
 
 
+def _checked(tok, make, *args, **kwargs):
+    """``make(*args, **kwargs)``; a value it rejects raises as a ParseError at ``tok``."""
+    try:
+        return make(*args, **kwargs)
+    except InvalidThresholds as exc:  # a ParseError, but without a position
+        raise InvalidThresholds(exc.args[0], tok.line, tok.col) from None
+    except DomainError as exc:
+        raise ParseError(str(exc), tok.line, tok.col) from None
+
+
 def _flatten(children, node_type):
     out = []
     for c in children:
@@ -291,22 +300,18 @@ def parse_rulebase(source: str) -> RuleBase:
 # Validation
 
 def validate(rb: RuleBase):
-    """Check structural invariants; returns diagnostics, never raises."""
+    """Check how the rule base's values refer to each other; returns diagnostics, never raises."""
     out = []
-    if not 0.0 < rb.options.epsilon < math.inf:
-        out.append(Diagnostic("error", f"epsilon must be finite and > 0, got {rb.options.epsilon}"))
-    if not 0.0 <= rb.options.nu <= 1.0:
-        out.append(Diagnostic("error", f"nu out of range [0,1]: {rb.options.nu}"))
     if not rb.classes:
         out.append(Diagnostic("error", "rule base has no classes"))
     for sym in rb.options.normalize_excluding:
         if sym not in rb.ions:
             out.append(Diagnostic("error", f"normalize_excluding names undeclared ion {sym!r}"))
     for sym, mz in rb.ions.items():
-        if mz <= 0:
-            out.append(Diagnostic("error", f"ion {sym!r} has non-positive m/z {mz}"))
-        elif not mz < math.inf:
-            out.append(Diagnostic("error", f"ion {sym!r} has non-finite m/z {mz}"))
+        try:
+            IonTarget(sym, mz)
+        except (DomainError, ValueError) as exc:
+            out.append(Diagnostic("error", str(exc)))
     seen = set()
     for cr in rb.classes:
         if cr.code == UNK:
@@ -325,12 +330,6 @@ def validate(rb: RuleBase):
         for name, (ion, fn) in cr.terms.items():
             if ion.symbol not in rb.ions:
                 out.append(Diagnostic("error", f"class {cr.code!r} term {name!r} uses undeclared ion {ion.symbol!r}"))
-            if not (math.isfinite(fn.l) and math.isfinite(fn.h)):
-                out.append(Diagnostic("error", f"class {cr.code!r} term {name!r} has a non-finite "
-                                               f"threshold: l={fn.l}, h={fn.h}"))
-            elif not fn.h - fn.l < math.inf:
-                out.append(Diagnostic("error", f"class {cr.code!r} term {name!r} has a threshold "
-                                               f"span h - l that overflows: l={fn.l}, h={fn.h}"))
             if name not in used:
                 out.append(Diagnostic("warning", f"class {cr.code!r} declares unused term {name!r}"))
     return out

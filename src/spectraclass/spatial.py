@@ -94,17 +94,13 @@ class MapCell:
 
 @dataclass
 class ClassificationMap:
-    cells: list
-    class_codes: list
-    rows: int
-    cols: int
-    topology: str
+    cells: list  # one MapCell per spot, in the grid's row-major order
 
 
 def classify_spots(grid: SampleGrid, nu: float) -> ClassificationMap:
     """Hard classification of every spot from raw memberships only."""
     cells = [MapCell(*harden_values(spot.membership, nu)) for spot in grid.spots]
-    return ClassificationMap(cells, list(grid.class_codes), grid.rows, grid.cols, grid.topology)
+    return ClassificationMap(cells)
 
 
 def reclassify_map(grid: SampleGrid, nu: float, floor: Optional[float] = None, *,
@@ -142,7 +138,7 @@ def reclassify_map(grid: SampleGrid, nu: float, floor: Optional[float] = None, *
             smoothed = mu
         code, sbest = harden_values(smoothed, smoothed_nu)
         cells[i] = MapCell(code, cell.confidence if code == UNK else sbest, True)
-    return ClassificationMap(cells, list(codes), grid.rows, grid.cols, grid.topology)
+    return ClassificationMap(cells)
 
 
 # ---------------------------------------------------------------------------

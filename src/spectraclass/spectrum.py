@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from itertools import islice
 from operator import lt
@@ -21,7 +21,7 @@ _NOT_SKELETON = bytes(b for b in range(128) if chr(b) not in ",\n\r\x0b\x0c\x1c\
 
 @dataclass(frozen=True)
 class IonTarget:
-    """A target ion: chemical symbol plus its m/z."""
+    """A target ion: chemical symbol plus its finite, positive m/z."""
 
     symbol: str
     mz: float
@@ -29,8 +29,8 @@ class IonTarget:
     def __post_init__(self):
         if not self.symbol:
             raise ValueError("ion symbol must be non-empty")
-        if self.mz <= 0:
-            raise DomainError(f"ion m/z must be positive, got {self.mz}")
+        if not 0.0 < self.mz < math.inf:  # also false for nan
+            raise DomainError(f"ion {self.symbol!r} needs a finite m/z > 0, got {self.mz}")
 
 
 @dataclass(frozen=True)

@@ -89,8 +89,8 @@ class TestClassifyCmd:
     @pytest.mark.parametrize("content, message", [
         (BAD_THRESHOLDS.encode(), "l must be < h, got l=5.0, h=5.0 (line 4, col 3)"),
         (b"\xff\n", "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"),
-        (SPAN_OVERFLOWS.encode(), "class 'X' term 'fe' has a threshold span h - l that "
-                                  "overflows: l=-1e+308, h=1.5e+308"),
+        (SPAN_OVERFLOWS.encode(), "thresholds need a finite span h - l, "
+                                  "got l=-1e+308, h=1.5e+308 (line 4, col 3)"),
     ], ids=["l-equals-h", "not-utf-8", "span-overflows"])
     def test_bad_rules_file_named(self, spectra_dir, tmp_path, capsys, content, message):
         bad = tmp_path / "bad.rules"
@@ -146,6 +146,28 @@ class TestStatsCmd:
         assert code == EX_FATAL
         assert capsys.readouterr().err == \
             f"spectraclass: error: {bad}: non-finite abundance on line 1\n"
+
+    @pytest.mark.parametrize("group_by", ["label", "directory"])
+    def test_unnormalizable_file_named_fatal(self, spectra_dir, tmp_path, capsys, group_by):
+        bad = tmp_path / "zero.csv"
+        bad.write_text("55.954,0\n")
+        code = main(["stats", str(spectra_dir / "agt.csv"), str(bad), "--group-by", group_by])
+        assert code == EX_FATAL
+        assert capsys.readouterr().err == \
+            f"spectraclass: error: {bad}: all non-excluded abundances are zero\n"
+
+    def test_group_by_label_is_the_classify_label(self, tmp_path, capsys):
+        # 370.585 * (100 / 370.585) is not 100, so labelling the normalized
+        # spectrum would normalize twice and lift mu_X from just below nu to nu.
+        spectrum = tmp_path / "s1.csv"
+        spectrum.write_text("10,370.585\n55.954,224.2\n")
+        rules = tmp_path / "x.rules"
+        rules.write_text('rulebase "x"\noption nu = 0.6049894086376946\nion Fe = 55.954\n'
+                         'class X "X" { term fe = high ( Fe , l = 0 , h = 100 ) expr = fe }\n')
+        assert main(["classify", str(spectrum), "--rules", str(rules)]) == EX_OK
+        assert capsys.readouterr().out.splitlines()[1].startswith("s1,,,UNK,")
+        assert main(["stats", str(spectrum), "--rules", str(rules)]) == EX_OK
+        assert capsys.readouterr().out.startswith("== UNK (1 spectra) vs ensemble (1) ==\n")
 
     def test_directories_sharing_a_name_fatal(self, tmp_path, capsys):
         for run, name in (("r1", "agt"), ("r2", "plg")):

@@ -1,8 +1,10 @@
+from dataclasses import FrozenInstanceError, replace
 from importlib import resources
 
 import pytest
 
 from spectraclass.errors import (
+    DomainError,
     DuplicateName,
     InvalidThresholds,
     ParseError,
@@ -111,6 +113,22 @@ class TestParser:
         with pytest.raises(ParseError):
             parse_rulebase(src)
 
+    @pytest.mark.parametrize("old, new, line, col", [
+        ('"tiny"', '"tiny"\noption epsilon = 0', 3, 8),
+        ('"tiny"', '"tiny"\noption epsilon = 1e999', 3, 8),
+        ('"tiny"', '"tiny"\noption nu = 1.5', 3, 8),
+        ("Fe = 55.954", "Fe = 0", 3, 5),
+        ("Fe = 55.954", "Fe = 1e999", 3, 5),
+        ("l = 1 , h = 40", "l = 5 , h = 5", 5, 3),
+        ("h = 40", "h = 1e999", 5, 3),
+        ("l = 1 , h = 40", "l = -1e308 , h = 1.5e308", 5, 3),
+    ], ids=["epsilon-zero", "epsilon-inf", "nu-above-1", "ion-zero", "ion-inf",
+            "l-equals-h", "h-inf", "span-overflows"])
+    def test_every_bad_value_gives_its_line(self, old, new, line, col):
+        with pytest.raises(ParseError, match=rf" \(line {line}, col {col}\)$") as exc:
+            parse_rulebase(MINIMAL.replace(old, new))
+        assert (exc.value.line, exc.value.col) == (line, col)
+
     def test_hash_inside_string_is_not_a_comment(self):
         src = MINIMAL.replace('"tiny"', '"a#b"  # trailing comment').replace('"X-phase"', '"X #1"')
         rb = parse_rulebase(src)
@@ -152,7 +170,9 @@ class TestBuiltin:
 
     def test_each_call_is_a_fresh_copy(self):
         rb = builtin_basalt()
-        rb.options.nu = 0.9
+        with pytest.raises(FrozenInstanceError):
+            rb.options.nu = 0.9
+        rb.options = replace(rb.options, nu=0.9)
         rb.classes.pop()
         assert builtin_basalt().options.nu == 0.5
         assert len(builtin_basalt().classes) == 4
@@ -174,19 +194,31 @@ class TestRoundTrip:
                 assert fn.l < fn.h
 
 
+@pytest.mark.parametrize("make, error", [
+    (lambda: IonTarget("Fe", float("nan")), DomainError),
+    (lambda: IonTarget("Fe", float("inf")), DomainError),
+    (lambda: MembershipFn("high", float("nan"), 5.0), InvalidThresholds),
+    (lambda: Options(epsilon=-0.1), DomainError),
+], ids=["ion-nan", "ion-inf", "threshold-nan", "negative-epsilon"])
+def test_bad_value_rejected_when_built(make, error):
+    with pytest.raises(error):
+        make()
+
+
 class TestValidate:
     def _tiny(self, **opts):
         fe = IonTarget("Fe", 55.954)
         cls = ClassRule("X", "X", {"fe": (fe, MembershipFn("high", 1, 40))}, Term("fe"))
         return RuleBase("t", {"Fe": 55.954}, [cls], Options(**opts))
 
+    # Options check themselves when built, so validate() never sees a bad one.
     def test_nu_out_of_range(self):
-        diags = validate(self._tiny(nu=1.5))
-        assert any(d.severity == "error" and "nu" in d.message for d in diags)
+        with pytest.raises(DomainError, match=r"^nu out of range \[0,1\]: 1\.5$"):
+            self._tiny(nu=1.5)
 
     def test_epsilon_positive(self):
-        diags = validate(self._tiny(epsilon=0.0))
-        assert any(d.severity == "error" for d in diags)
+        with pytest.raises(DomainError, match="^epsilon must be finite and > 0, got 0.0$"):
+            self._tiny(epsilon=0.0)
 
     def test_excluded_must_be_declared(self):
         diags = validate(self._tiny(normalize_excluding=("K",)))
@@ -203,22 +235,26 @@ class TestValidate:
     @pytest.mark.parametrize("field", ["epsilon", "nu"])
     @pytest.mark.parametrize("value", [float("nan"), float("inf")])
     def test_non_finite_options(self, field, value):
-        diags = validate(self._tiny(**{field: value}))
-        assert any(d.severity == "error" and field in d.message for d in diags)
+        with pytest.raises(DomainError, match=f"^{field} .*{value}$"):
+            self._tiny(**{field: value})
 
     def test_ion_mz_overflowing_to_inf_rejected(self):
-        with pytest.raises(ParseError, match="ion 'Fe' has non-finite m/z inf"):
+        with pytest.raises(ParseError,
+                           match=r"^ion 'Fe' needs a finite m/z > 0, got inf \(line 3, col 5\)$"):
             parse_rulebase(MINIMAL.replace("ion Fe = 55.954", "ion Fe = 1e999"))
 
-    def test_threshold_span_overflow_rejected(self):
+    def test_non_finite_ion_in_dict_is_an_error(self):
         rb = self._tiny()
-        fe = IonTarget("Fe", 55.954)
-        rb.classes[0].terms["fe"] = (fe, MembershipFn("high", -1e308, 1.5e308))
-        assert [d.message for d in validate(rb)] == [
-            "class 'X' term 'fe' has a threshold span h - l that overflows: l=-1e+308, h=1.5e+308"]
-        with pytest.raises(ParseError, match="span h - l that overflows"):
+        rb.ions["Fe"] = float("nan")
+        assert [d.message for d in validate(rb)] == ["ion 'Fe' needs a finite m/z > 0, got nan"]
+
+    def test_threshold_span_overflow_rejected(self):
+        with pytest.raises(InvalidThresholds, match="^thresholds need a finite span h - l, "
+                                                    r"got l=-1e\+308, h=1\.5e\+308$"):
+            MembershipFn("high", -1e308, 1.5e308)
+        with pytest.raises(ParseError, match=r"finite span h - l, .* \(line 5, col 3\)$"):
             parse_rulebase(MINIMAL.replace("l = 1 , h = 40", "l = -1e308 , h = 1.5e308"))
 
     def test_threshold_overflowing_to_inf_rejected(self):
-        with pytest.raises(ParseError, match="term 'fe' has a non-finite threshold"):
+        with pytest.raises(ParseError, match=r"finite span h - l, got l=1\.0, h=inf \(line 5, col 3\)$"):
             parse_rulebase(MINIMAL.replace("h = 40", "h = 1e999"))
