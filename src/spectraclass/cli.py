@@ -169,9 +169,10 @@ def cmd_map(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
+    with open(out_dir / "pre.csv", "w", encoding="utf-8", newline="") as f_pre, \
+            open(out_dir / "post.csv", "w", encoding="utf-8", newline="") as f_post:
+        spatial.write_map_csv(grid, ((pre, f_pre), (post, f_post)))
     for name, cmap in (("pre", pre), ("post", post)):
-        with open(out_dir / f"{name}.csv", "w", encoding="utf-8", newline="") as f:
-            spatial.write_map_csv(grid, cmap, f)
         with open(out_dir / f"{name}.ppm", "wb") as f:
             pixmap.write_ppm(f, grid.cols, grid.rows, pixmap.render_class_map(cmap, palette))
     for code in grid.class_codes:

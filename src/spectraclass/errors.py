@@ -31,14 +31,16 @@ class InvalidThresholds(ParseError):
     """Membership thresholds that are not finite with l < h; the DSL parser adds the term's line."""
 
 
-class UnknownTerm(SpectraClassError):
-    def __init__(self, name):
+class UnknownTerm(ParseError):
+    """An expression names an undeclared term; the DSL parser adds the class's ``expr`` line."""
+
+    def __init__(self, name, line=None, col=None):
         self.name = name
-        super().__init__(f"unknown term: {name!r}")
+        super().__init__(f"unknown term: {name!r}", line, col)
 
 
-class DuplicateName(SpectraClassError):
-    pass
+class DuplicateName(ParseError):
+    """An option, ion, class or term set twice; the DSL parser gives the second name's line."""
 
 
 class NoClasses(SpectraClassError):

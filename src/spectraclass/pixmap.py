@@ -38,8 +38,13 @@ def render_class_map(cmap: ClassificationMap, palette=None):
 
 
 def render_membership_map(grid: SampleGrid, gamma: str):
-    """Grayscale view of one class's membership, 0 -> black, 1 -> white."""
-    return [_GREY[round(min(max(spot.membership[gamma], 0.0), 1.0) * 255)]
+    """Grayscale view of one class's membership, 0 -> black, 1 -> white.
+
+    Values outside [0,1], which only grids built through the API can
+    hold, are clamped; nan raises ValueError.
+    """
+    return [_GREY[round(v * 255) if 0.0 <= (v := spot.membership[gamma]) <= 1.0
+                  else round(min(max(v, 0.0), 1.0) * 255)]
             for spot in grid.spots]
 
 

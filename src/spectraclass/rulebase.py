@@ -163,7 +163,7 @@ class _Parser:
         name_tok = self.expect(kind="IDENT")
         name = name_tok.value
         if name in seen:
-            raise DuplicateName(f"option {name!r} set twice")
+            raise DuplicateName(f"option {name!r} set twice", name_tok.line, name_tok.col)
         seen.add(name)
         self.expect(value="=")
         if name in ("epsilon", "nu"):
@@ -183,7 +183,7 @@ class _Parser:
     def ion(self, rb):
         sym_tok = self.expect(kind="IDENT")
         if sym_tok.value in rb.ions:
-            raise DuplicateName(f"ion {sym_tok.value!r} declared twice")
+            raise DuplicateName(f"ion {sym_tok.value!r} declared twice", sym_tok.line, sym_tok.col)
         self.expect(value="=")
         mz = float(self.expect(kind="NUMBER").value)
         _checked(sym_tok, IonTarget, sym_tok.value, mz)
@@ -193,11 +193,11 @@ class _Parser:
         code_tok = self.expect(kind="IDENT")
         code = code_tok.value
         if any(c.code == code for c in rb.classes):
-            raise DuplicateName(f"class {code!r} declared twice")
+            raise DuplicateName(f"class {code!r} declared twice", code_tok.line, code_tok.col)
         display = self.expect(kind="STRING").value[1:-1]
         self.expect(value="{")
         terms = {}
-        expr = None
+        expr = expr_tok = None
         while True:
             tok = self.next()
             if tok.value == "}":
@@ -205,7 +205,8 @@ class _Parser:
             if tok.value == "term":
                 name_tok = self.expect(kind="IDENT")
                 if name_tok.value in terms:
-                    raise DuplicateName(f"term {name_tok.value!r} declared twice in class {code!r}")
+                    raise DuplicateName(f"term {name_tok.value!r} declared twice in class {code!r}",
+                                        name_tok.line, name_tok.col)
                 self.expect(value="=")
                 shape_tok = self.expect(kind="IDENT")
                 if shape_tok.value == "medium":
@@ -231,6 +232,7 @@ class _Parser:
                 ion = IonTarget(ion_tok.value, rb.ions[ion_tok.value])
                 terms[name_tok.value] = (ion, _checked(tok, MembershipFn, shape_tok.value, l, h))
             elif tok.value == "expr":
+                expr_tok = tok
                 self.expect(value="=")
                 expr = self.expr()
             else:
@@ -240,7 +242,7 @@ class _Parser:
             raise ParseError(f"class {code!r} has no expr", code_tok.line, code_tok.col)
         for name in term_names(expr):
             if name not in terms:
-                raise UnknownTerm(name)
+                raise UnknownTerm(name, expr_tok.line, expr_tok.col)
         rb.classes.append(ClassRule(code=code, display_name=display, terms=terms, expr=expr))
 
     # expr := orexpr ; orexpr := andexpr { "or" andexpr }
@@ -307,9 +309,10 @@ def validate(rb: RuleBase):
     for sym in rb.options.normalize_excluding:
         if sym not in rb.ions:
             out.append(Diagnostic("error", f"normalize_excluding names undeclared ion {sym!r}"))
+    declared = {}  # symbol -> m/z, for each ion whose m/z is valid
     for sym, mz in rb.ions.items():
         try:
-            IonTarget(sym, mz)
+            declared[sym] = IonTarget(sym, mz).mz
         except (DomainError, ValueError) as exc:
             out.append(Diagnostic("error", str(exc)))
     seen = set()
@@ -330,6 +333,10 @@ def validate(rb: RuleBase):
         for name, (ion, fn) in cr.terms.items():
             if ion.symbol not in rb.ions:
                 out.append(Diagnostic("error", f"class {cr.code!r} term {name!r} uses undeclared ion {ion.symbol!r}"))
+            elif ion.symbol in declared and ion.mz != declared[ion.symbol]:
+                # serialize_rulebase writes the symbol only, so a parsed copy would look elsewhere.
+                out.append(Diagnostic("error", f"class {cr.code!r} term {name!r} looks at m/z {ion.mz}, "
+                                               f"but ion {ion.symbol!r} is declared at {rb.ions[ion.symbol]}"))
             if name not in used:
                 out.append(Diagnostic("warning", f"class {cr.code!r} declares unused term {name!r}"))
     return out

@@ -37,15 +37,28 @@ class SampleGrid:
     class_codes: list
 
     def __post_init__(self):
+        self._check_shape()
+        # harden_values breaks ties in dict order: keep class_codes order.
+        for spot in self.spots:
+            if list(spot.membership) != self.class_codes:
+                spot.membership = {c: spot.membership[c] for c in self.class_codes}
+
+    @classmethod
+    def _trusted(cls, topology: str, rows: int, cols: int, spots: list,
+                 class_codes: list) -> "SampleGrid":
+        """A grid whose spots' dicts already list class_codes in order; only its shape is checked."""
+        grid = object.__new__(cls)
+        grid.__dict__.update(topology=topology, rows=rows, cols=cols, spots=spots,
+                             class_codes=class_codes)
+        grid._check_shape()
+        return grid
+
+    def _check_shape(self):
         if self.topology not in (RECTANGULAR, HEXAGONAL):
             raise ValueError(f"unknown topology {self.topology!r}")
         if len(self.spots) != self.rows * self.cols:
             raise ValueError(
                 f"expected {self.rows * self.cols} spots, got {len(self.spots)}")
-        # harden_values breaks ties in dict order: keep class_codes order.
-        for spot in self.spots:
-            if list(spot.membership) != self.class_codes:
-                spot.membership = {c: spot.membership[c] for c in self.class_codes}
 
     def index(self, row: int, col: int) -> int:
         return row * self.cols + col
@@ -116,21 +129,33 @@ def reclassify_map(grid: SampleGrid, nu: float, floor: Optional[float] = None, *
     class is the smoothed value and may exceed 1.
 
     Each smoothed value is the one smoothed_membership() gives, bit for
-    bit: the neighbors are listed once per spot and summed per class in
-    the same order. Confident spots share their cell with the raw map,
-    which ``_pre`` passes in when the caller has already built it with
+    bit: the neighbors are listed once per spot, in neighbors() order,
+    and summed per class in that order. A spot off the border finds them
+    at fixed index offsets from its own; border spots ask neighbors().
+    Confident spots share their cell with the raw map, which ``_pre``
+    passes in when the caller has already built it with
     classify_spots(grid, nu).
     """
     pre = classify_spots(grid, nu) if _pre is None else _pre
     smoothed_nu = -math.inf if floor is None else floor
     spots = grid.spots
     codes = grid.class_codes
+    rows, cols = grid.rows, grid.cols
+    if grid.topology == RECTANGULAR:
+        even = odd = [dr * cols + dc for dr, dc in _MOORE]
+    else:
+        even = [dr * cols + dc for dr, dc in _HEX_EVEN]
+        odd = [dr * cols + dc for dr, dc in _HEX_ODD]
     cells = list(pre.cells)
     for i, cell in enumerate(cells):
         if cell.label != UNK:
             continue
         mu = spots[i].membership
-        around = [spots[j].membership for j in neighbors(grid, i)]
+        row, col = divmod(i, cols)
+        if 0 < row < rows - 1 and 0 < col < cols - 1:
+            around = [spots[i + d].membership for d in (odd if row % 2 else even)]
+        else:
+            around = [spots[j].membership for j in neighbors(grid, i)]
         if around:
             n = len(around)
             smoothed = {c: mu[c] + sum([m[c] for m in around]) / n for c in codes}
@@ -218,12 +243,27 @@ def read_grid_csv(text: str) -> SampleGrid:
         raise ParseError("grid file has no data rows")
     if error is not None:
         raise error
-    return SampleGrid(topology, rows, cols, spots, class_codes)
+    # Each membership dict is built in class_codes order.
+    return SampleGrid._trusted(topology, rows, cols, spots, class_codes)
 
 
-def write_map_csv(grid: SampleGrid, cmap: ClassificationMap, stream) -> None:
-    stream.write("x,y,label,confidence,neighbor_assigned\n")
-    stream.writelines(
-        f"{fmt(spot.x)},{fmt(spot.y)},{cell.label},{fmt(cell.confidence)},"
-        f"{'true' if cell.neighbor_assigned else 'false'}\n"
-        for spot, cell in zip(grid.spots, cmap.cells))
+def write_map_csv(grid: SampleGrid, outputs) -> None:
+    """Write each ``(cmap, stream)`` pair of ``outputs`` as a map CSV, in one pass over the spots.
+
+    A spot's x and y are formatted once for all maps, and its row once
+    for consecutive maps that share its cell, as a confident spot's pre
+    and post maps do.
+    """
+    maps = [(cmap.cells, stream.write) for cmap, stream in outputs]
+    for _, write in maps:
+        write("x,y,label,confidence,neighbor_assigned\n")
+    for i, spot in enumerate(grid.spots):
+        xy = f"{fmt(spot.x)},{fmt(spot.y)},"
+        last = None
+        for cells, write in maps:
+            cell = cells[i]
+            if cell is not last:
+                last = cell
+                row = (f"{xy}{cell.label},{fmt(cell.confidence)},"
+                       f"{'true' if cell.neighbor_assigned else 'false'}\n")
+            write(row)

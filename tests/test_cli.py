@@ -1,5 +1,6 @@
 import contextlib
 import io
+import os
 import tempfile
 from pathlib import Path
 
@@ -282,6 +283,19 @@ class TestMapCmd:
             assert (tmp_path / "m1" / name).read_bytes() == \
                    (tmp_path / "m2" / name).read_bytes()
 
+    def test_negative_zero_memberships_pinned(self, tmp_path):
+        # Smoothing sums neighbours from an int 0, so every smoothed -0.0 reads 0.
+        grid = tmp_path / "grid.csv"
+        grid.write_text(GRID.format(rows="\n".join(
+            f"s{i},{i % 3},{i // 3},UNK,1,-0,-0.0,-0,-0" for i in range(9))))
+        out = tmp_path / "m"
+        assert main(["map", str(grid), "--out", str(out)]) == EX_OK
+        cells = [(x, y) for y in range(3) for x in range(3)]
+        assert (out / "pre.csv").read_bytes() == b"x,y,label,confidence,neighbor_assigned\n" + \
+            b"".join(b"%d,%d,UNK,1,false\n" % xy for xy in cells)
+        assert (out / "post.csv").read_bytes() == b"x,y,label,confidence,neighbor_assigned\n" + \
+            b"".join(b"%d,%d,ILM,0,true\n" % xy for xy in cells)
+
     def test_palette_file(self, tmp_path):
         grid = grid_file(tmp_path, center_agt=0.9)
         pal = tmp_path / "pal.txt"
@@ -471,10 +485,15 @@ class TestFuzzedArguments:
             grid_file(root)
             argv = [arg.format(d=d) for arg in template]
             out, err = io.StringIO(), io.StringIO()
-            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                try:
-                    code = main(argv)
-                except SystemExit as exc:
-                    code = exc.code
+            cwd = os.getcwd()
+            os.chdir(d)  # a relative --out such as "1" is written here, not into the checkout
+            try:
+                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                    try:
+                        code = main(argv)
+                    except SystemExit as exc:
+                        code = exc.code
+            finally:
+                os.chdir(cwd)
         assert code in (EX_OK, EX_FATAL, EX_PARTIAL, EX_USAGE), (argv, err.getvalue())
         assert "Traceback" not in err.getvalue()

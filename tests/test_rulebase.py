@@ -17,6 +17,7 @@ from spectraclass.rulebase import (
     RuleBase,
     builtin_basalt,
     parse_rulebase,
+    require_valid,
     serialize_rulebase,
     validate,
 )
@@ -59,6 +60,25 @@ class TestParser:
         src = MINIMAL.replace("ion Fe = 55.954", "ion Fe = 55.954\nion Fe = 55.954")
         with pytest.raises(DuplicateName):
             parse_rulebase(src)
+
+    @pytest.mark.parametrize("old, new, error, message, line, col", [
+        ("ion Fe", "option nu = 0.5\noption nu = 0.6\nion Fe", DuplicateName,
+         "option 'nu' set twice", 4, 8),
+        ("ion Fe = 55.954", "ion Fe = 55.954\n  ion Fe = 56", DuplicateName,
+         "ion 'Fe' declared twice", 4, 7),
+        ("}\n", '}\nclass X "again" {\n  term fe = high ( Fe , l = 1 , h = 40 )\n  expr = fe\n}\n',
+         DuplicateName, "class 'X' declared twice", 8, 7),
+        ("  expr", "  term fe = low ( Fe , l = 1 , h = 40 )\n  expr", DuplicateName,
+         "term 'fe' declared twice in class 'X'", 6, 8),
+        ("expr = fe", "expr = fe and missing", UnknownTerm, "unknown term: 'missing'", 6, 3),
+        ("  expr = fe", "  expr = missing\n  expr = fe and nope", UnknownTerm,
+         "unknown term: 'nope'", 7, 3),
+    ], ids=["option", "ion", "class", "term", "unknown-term", "unknown-term-last-expr"])
+    def test_name_errors_give_their_line(self, old, new, error, message, line, col):
+        with pytest.raises(error) as exc:
+            parse_rulebase(MINIMAL.replace(old, new))
+        assert str(exc.value) == f"{message} (line {line}, col {col})"
+        assert (exc.value.line, exc.value.col) == (line, col)
 
     def test_bad_thresholds(self):
         src = MINIMAL.replace("l = 1 , h = 40", "l = 40 , h = 1")
@@ -242,6 +262,14 @@ class TestValidate:
         with pytest.raises(ParseError,
                            match=r"^ion 'Fe' needs a finite m/z > 0, got inf \(line 3, col 5\)$"):
             parse_rulebase(MINIMAL.replace("ion Fe = 55.954", "ion Fe = 1e999"))
+
+    def test_term_mz_must_be_its_ions(self):
+        rb = self._tiny()
+        rb.classes[0].terms["fe"] = (IonTarget("Fe", 60.0), MembershipFn("high", 1, 40))
+        assert [(d.severity, d.message) for d in validate(rb)] == [
+            ("error", "class 'X' term 'fe' looks at m/z 60.0, but ion 'Fe' is declared at 55.954")]
+        with pytest.raises(ParseError, match="looks at m/z 60.0"):
+            require_valid(rb)
 
     def test_non_finite_ion_in_dict_is_an_error(self):
         rb = self._tiny()

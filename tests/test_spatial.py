@@ -7,6 +7,7 @@ from hypothesis import example, given, strategies as st
 
 from spectraclass.classify import UNK, harden_values
 from spectraclass.errors import BadIndex, ParseError
+from spectraclass.pixmap import render_membership_map
 from spectraclass.spatial import (
     HEXAGONAL,
     RECTANGULAR,
@@ -196,11 +197,27 @@ class TestGridIO:
         g = read_grid_csv(GRID_CSV)
         cmap = reclassify_map(g, 0.5)
         buf = io.StringIO()
-        write_map_csv(g, cmap, buf)
+        write_map_csv(g, [(cmap, buf)])
         lines = buf.getvalue().splitlines()
         assert lines[0] == "x,y,label,confidence,neighbor_assigned"
         assert len(lines) == 5
         assert lines[3].split(",")[4] == "true"  # spot c was below nu
+
+    def test_write_map_csv_one_pass_equals_one_map_at_a_time(self):
+        g = read_grid_csv(GRID_CSV)
+        pre = classify_spots(g, 0.5)
+        post = reclassify_map(g, 0.5, _pre=pre)
+        maps = (pre, post, pre)  # pre again after a map that shares only some cells
+        alone = []
+        for cmap in maps:
+            buf = io.StringIO()
+            write_map_csv(g, [(cmap, buf)])
+            alone.append(buf.getvalue())
+        bufs = [io.StringIO() for _ in maps]
+        write_map_csv(g, list(zip(maps, bufs)))
+        assert [b.getvalue() for b in bufs] == alone
+        assert alone[0].splitlines()[3] == "0,1,UNK,0.7,false"
+        assert alone[1].splitlines()[3] == "0,1,ILM,0.866667,true"
 
     def test_headers_after_data_rows_honored(self):
         head, body = GRID_CSV.split("id,", 1)
@@ -232,6 +249,27 @@ class TestGridIO:
             read_grid_csv(text)
 
 
+class TestApiGrid:
+    def test_dicts_reordered_to_class_codes(self):
+        # Each dict lists the classes in reverse; ILM and AGT tie.
+        weak = {"OLV": 0.0, "PLG": 0.1, "AGT": 0.2, "ILM": 0.2}
+        g = grid_from(2, 2, [weak] * 4)
+        assert all(list(spot.membership) == CODES for spot in g.spots)
+        assert g.spots[0].membership == weak
+        assert [c.label for c in classify_spots(g, 0.2).cells] == ["ILM"] * 4
+        assert [c.label for c in reclassify_map(g, 0.5).cells] == ["ILM"] * 4
+
+    def test_render_clamps_values_outside_unit_interval(self):
+        g = grid_from(1, 4, [uniform(v) for v in (-0.2, 1.5, -0.0, 0.5)])
+        assert render_membership_map(g, "AGT") == [(0, 0, 0), (255, 255, 255), (0, 0, 0),
+                                                   (128, 128, 128)]
+
+    def test_render_nan_raises(self):
+        g = grid_from(1, 2, [uniform(0.5), uniform(math.nan)])
+        with pytest.raises(ValueError):
+            render_membership_map(g, "AGT")
+
+
 def reference_map(grid, nu, floor):
     """reclassify_map spelled out from smoothed_membership and harden_values."""
     cells = []
@@ -247,7 +285,8 @@ def reference_map(grid, nu, floor):
 
 
 # Few distinct values, so ties between classes and neighbors are common.
-membership_values = st.one_of(st.sampled_from([0.0, 0.1, 0.25, 0.5, 1.0]), st.floats(0.0, 1.0))
+membership_values = st.one_of(st.sampled_from([0.0, -0.0, 0.1, 0.25, 0.5, 1.0]),
+                              st.floats(0.0, 1.0))
 
 
 @st.composite
@@ -267,8 +306,12 @@ class TestReclassifyReference:
     @example(grid_from(1, 1, [{"ILM": 0.1, "AGT": 0.3, "PLG": 0.2, "OLV": 0.0}]), 0.5, None)
     @example(grid_from(1, 3, [uniform(0.2), uniform(0.4), uniform(0.1)], HEXAGONAL), 0.5, 0.3)
     @example(grid_from(3, 1, [uniform(0.2), uniform(0.4), uniform(0.1)]), 0.5, 0.9)
+    @example(grid_from(3, 3, [uniform(-0.0)] * 9), 0.5, None)
     def test_equals_reference(self, grid, nu, floor):
-        expected = reference_map(grid, nu, floor)
-        assert reclassify_map(grid, nu, floor).cells == expected
+        def key(cells):  # repr tells -0.0 from 0.0, which == does not
+            return [(c.label, repr(c.confidence), c.neighbor_assigned) for c in cells]
+
+        expected = key(reference_map(grid, nu, floor))
+        assert key(reclassify_map(grid, nu, floor).cells) == expected
         pre = classify_spots(grid, nu)
-        assert reclassify_map(grid, nu, floor, _pre=pre).cells == expected
+        assert key(reclassify_map(grid, nu, floor, _pre=pre).cells) == expected
