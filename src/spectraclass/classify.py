@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
@@ -11,7 +10,7 @@ from typing import Optional
 from .errors import NoClasses, SpectraClassError
 from .fuzzy import compile_expr, term_names
 from .rulebase import UNK, RuleBase
-from .spectrum import Spectrum, parse_spectrum, scale_factor
+from .spectrum import Spectrum, parse_spectrum, scale_factor, window_slice
 
 
 @dataclass(frozen=True)
@@ -40,9 +39,9 @@ def compile_rules(rb: RuleBase):
     Every class expression is evaluated from windowed peak lookups
     through its membership terms, on the scale set by the rule base's
     normalization options. Each distinct ion m/z used by an expression
-    gets one window, looked up once per spectrum on the raw points and
-    rescaled by scale_factor(): the same value, bit for bit, as a lookup
-    in the normalized spectrum. Each expression is compiled by
+    gets one window_slice(), looked up once per spectrum on the raw points
+    and rescaled by scale_factor(): the same value, bit for bit, as a
+    lookup in the normalized spectrum. Each expression is compiled by
     fuzzy.compile_expr(), so the result equals fuzzy.eval_expr() on the
     same term values bit for bit.
 
@@ -68,16 +67,13 @@ def compile_rules(rb: RuleBase):
             plan.append((slots.setdefault(ion.mz, len(slots)), fn.polarity == "high",
                          fn.l, fn.h, fn.h - fn.l))
         exprs.append((cr.code, compile_expr(cr.expr, index)))
-    # The same floats peak_abundance() computes for each window.
-    windows = tuple((mz - eps, mz + eps) for mz in slots)
 
     def classify_spectrum(s: Spectrum) -> MembershipVector:
         factor = scale_factor(s, excluded, eps)
         mzs, points = s.mzs, s.points
         p = []
-        for lo_mz, hi_mz in windows:
-            lo = bisect_left(mzs, lo_mz)
-            hi = bisect_right(mzs, hi_mz)
+        for mz in slots:
+            lo, hi = window_slice(mzs, mz, eps)
             if lo >= hi:
                 p.append(0.0)
             elif hi - lo == 1:

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .classify import UNK, fmt, harden_values
-from .errors import BadIndex, ParseError
+from .errors import BadIndex, DuplicateName, ParseError
 
 RECTANGULAR = "rectangular"
 HEXAGONAL = "hexagonal"
@@ -59,9 +59,6 @@ class SampleGrid:
         if len(self.spots) != self.rows * self.cols:
             raise ValueError(
                 f"expected {self.rows * self.cols} spots, got {len(self.spots)}")
-
-    def index(self, row: int, col: int) -> int:
-        return row * self.cols + col
 
 
 def neighbors(grid: SampleGrid, i: int):
@@ -176,8 +173,8 @@ def read_grid_csv(text: str) -> SampleGrid:
     """Parse a grid file: `# topology/rows/cols` headers plus batch CSV rows.
 
     Spots are listed in row-major order. Headers may appear anywhere in
-    the file, so a malformed data line is reported only after the headers
-    are checked, as if every header came first.
+    the file, each once, so a malformed data line is reported only after
+    the headers are checked, as if every header came first.
     """
     meta = {}
     columns = None
@@ -190,6 +187,8 @@ def read_grid_csv(text: str) -> SampleGrid:
         if line.startswith("#"):
             m = _HEADER_RE.match(line)
             if m:
+                if m.group(1) in meta:
+                    raise DuplicateName(f"grid header '# {m.group(1)}:' set twice", line=lineno)
                 meta[m.group(1)] = m.group(2)
             continue
         if error is not None:

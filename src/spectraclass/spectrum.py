@@ -7,7 +7,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import islice
-from operator import lt
+from operator import itemgetter, lt
 from typing import Iterable, Optional
 
 from .errors import CannotNormalize, DomainError, EmptySpectrum, ParseError
@@ -195,26 +195,35 @@ def normalize(s: Spectrum, excluded: Iterable[IonTarget] = (), eps: float = 0.2)
                              id=s.id, position=s.position)
 
 
+def window_slice(mzs, mz: float, eps: float) -> tuple:
+    """The bounds ``(lo, hi)`` of ion m/z ``mz``'s window in the ascending list ``mzs``.
+
+    ``mzs[lo:hi]`` is every m/z with ``mz - eps <= m/z <= mz + eps`` as floats, empty
+    when lo >= hi: the one window of every term lookup and normalization exclusion.
+    """
+    return bisect_left(mzs, mz - eps), bisect_right(mzs, mz + eps)
+
+
 def scale_factor(s: Spectrum, excluded: Iterable[IonTarget] = (), eps: float = 0.2) -> float:
     """The factor normalize() multiplies every abundance by: 100 / reference.
 
-    The reference is the highest peak outside every excluded ion's closed
-    window ``abs(mz - ion.mz) <= eps``. Since x -> x * factor is monotone
-    under rounding, a windowed maximum of the normalized spectrum equals
-    the raw windowed maximum times this factor, bit for bit. A factor that
-    would scale an (excluded) peak past the float range is refused.
+    The reference is the highest peak outside every excluded ion's
+    window_slice(). Since x -> x * factor is monotone under rounding, a
+    windowed maximum of the normalized spectrum equals the raw windowed
+    maximum times this factor, bit for bit. A factor that would scale an
+    (excluded) peak past the float range is refused.
     """
-    excluded = list(excluded)
-    if excluded:
-        ref = None
-        for mz, ab in s.points:
-            # Only a point that would raise the reference needs the window test.
-            if (ref is None or ab > ref) and not any(abs(mz - ion.mz) <= eps for ion in excluded):
-                ref = ab
-        if ref is None:
+    ref = s.max_abundance
+    windows = sorted(window_slice(s.mzs, ion.mz, eps) for ion in excluded)
+    if windows:
+        kept, start = [], 0  # the points between the windows
+        for lo, hi in windows:
+            kept += s.points[start:lo]
+            start = max(start, hi)
+        kept += s.points[start:]
+        if not kept:
             raise CannotNormalize("all points fall within excluded ion windows")
-    else:
-        ref = s.max_abundance
+        ref = max(kept, key=itemgetter(1))[1]
     if ref == 0.0:
         raise CannotNormalize("all non-excluded abundances are zero")
     factor = FULL_SCALE / ref
@@ -226,14 +235,10 @@ def scale_factor(s: Spectrum, excluded: Iterable[IonTarget] = (), eps: float = 0
 
 
 def peak_abundance(s: Spectrum, chi: IonTarget, eps: float) -> float:
-    """Maximum abundance within the closed window [chi.mz - eps, chi.mz + eps].
-
-    An empty window yields 0, not an error.
-    """
+    """Maximum abundance in the window_slice() of ``chi``; an empty window yields 0, not an error."""
     if eps < 0:
         raise DomainError("eps must be non-negative")
-    lo = bisect_left(s.mzs, chi.mz - eps)
-    hi = bisect_right(s.mzs, chi.mz + eps)
+    lo, hi = window_slice(s.mzs, chi.mz, eps)
     if lo >= hi:
         return 0.0
     return max(ab for _, ab in s.points[lo:hi])

@@ -35,6 +35,21 @@ BAD_THRESHOLDS = ('rulebase "x"\nion Fe = 55.954\n'
 # A rule file whose one term's span h - l overflows to inf.
 SPAN_OVERFLOWS = BAD_THRESHOLDS.replace("l = 5 , h = 5", "l = -1e308 , h = 1.5e308")
 
+# The K peak 418.9 sits on the lower edge of K's window: 419.0 - 0.1 == 418.9.
+K_EDGE_RULES = ('rulebase "k"\noption epsilon = 0.1\noption normalize_excluding = [ K ]\n'
+                'ion K = 419.0\nion Fe = 55.954\n'
+                'class X "X" {\n  term fe = high ( Fe , l = 10 , h = 90 )\n  expr = fe\n}\n')
+
+
+def k_edge_files(tmp_path):
+    """(spectrum, rules) paths: a Fe peak of 40 and a K peak of 100 on K's window edge."""
+    (tmp_path / "d").mkdir()
+    spectrum = tmp_path / "d" / "s1.csv"
+    spectrum.write_text("55.954,40\n418.9,100\n")
+    rules = tmp_path / "k.rules"
+    rules.write_text(K_EDGE_RULES)
+    return spectrum, rules
+
 
 def read_csv(path):
     return path.read_text().splitlines()
@@ -66,6 +81,12 @@ class TestClassifyCmd:
         unks1 = sum("UNK" in line for line in read_csv(out1))
         unks2 = sum("UNK" in line for line in read_csv(out2))
         assert unks2 > unks1
+
+    def test_peak_on_an_excluded_window_edge_is_excluded(self, tmp_path, capsys):
+        # The Fe peak sets the scale (factor 2.5), not the K peak its window sees.
+        spectrum, rules = k_edge_files(tmp_path)
+        assert main(["classify", str(spectrum), "--rules", str(rules)]) == EX_OK
+        assert capsys.readouterr().out.splitlines()[1] == "s1,,,X,1,1"
 
     def test_unreadable_rules_fatal(self, spectra_dir):
         code = main(["classify", str(spectra_dir / "agt.csv"),
@@ -135,6 +156,15 @@ class TestStatsCmd:
                      "--group-by", "directory", "--out", str(out)])
         assert code == EX_OK
         assert (out / "spectra_report.csv").exists()
+
+    def test_peak_on_an_excluded_window_edge_is_excluded(self, tmp_path):
+        spectrum, rules = k_edge_files(tmp_path)
+        out = tmp_path / "reports"
+        assert main(["stats", str(spectrum), "--rules", str(rules),
+                     "--group-by", "directory", "--out", str(out)]) == EX_OK
+        # Both abundances scaled by 100 / 40 = 2.5.
+        assert read_csv(out / "d_report.csv")[1:] == ["55.954,100,100,1,1,1,-",
+                                                      "418.9,250,250,1,1,1,-"]
 
     def test_no_matching_inputs_fatal(self, tmp_path):
         code = main(["stats", str(tmp_path / "none" / "*.csv")])
@@ -350,6 +380,18 @@ class TestMapCmd:
         grid = grid_file(tmp_path)
         self._fatal(["map", str(grid), f"--floor={floor}", "--out", str(tmp_path / "m")],
                     capsys, f"--floor must be finite, got {float(floor)}")
+        assert not (tmp_path / "m").exists()
+
+    def test_repeated_header_fatal(self, tmp_path, capsys):
+        # Read as 3 x 2, spot s1 would be neighbour-assigned A; as 2 x 3, B.
+        mus = [".9,.1", ".2,.3", ".1,.9", ".9,.1", ".1,.9", ".1,.9"]
+        grid = tmp_path / "grid.csv"
+        grid.write_text("# topology: rect\n# rows: 2\n# cols: 3\n"
+                        + "id,x,y,label,confidence,mu_A,mu_B\n"
+                        + "".join(f"s{i},{i % 3},{i // 3},X,0,{mu}\n" for i, mu in enumerate(mus))
+                        + "# rows: 3\n# cols: 2\n")
+        self._fatal(["map", str(grid), "--out", str(tmp_path / "m")], capsys,
+                    "grid.csv: grid header '# rows:' set twice (line 11)")
         assert not (tmp_path / "m").exists()
 
     def test_spacing_header_ignored(self, tmp_path):

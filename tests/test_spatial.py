@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from spectraclass.classify import UNK, harden_values
-from spectraclass.errors import BadIndex, ParseError
+from spectraclass.errors import BadIndex, DuplicateName, ParseError
 from spectraclass.pixmap import render_membership_map
 from spectraclass.spatial import (
     HEXAGONAL,
@@ -241,6 +241,14 @@ class TestGridIO:
             read_grid_csv(text)
         with pytest.raises(ParseError, match="missing grid header '# rows:'"):
             read_grid_csv(text.replace("# rows: 2\n", ""))
+
+    @pytest.mark.parametrize("key,value", [("topology", "rectangular"), ("rows", 2), ("cols", 2)])
+    def test_repeated_header_rejected_at_the_repeat(self, key, value):
+        # Repeated with the same value, and after a malformed data line.
+        text = GRID_CSV.replace("b,1,0,", "b,1,0,x,") + f"# {key}: {value}\n"
+        with pytest.raises(DuplicateName, match=f"grid header '# {key}:' set twice") as exc:
+            read_grid_csv(text)
+        assert exc.value.line == 9
 
     @pytest.mark.parametrize("rows,cols", [(-1, -1), (0, 0), (0, 2), (2, 0)])
     def test_size_below_one_rejected(self, rows, cols):

@@ -199,11 +199,11 @@ class TestDirectConstruction:
 
 
 def old_normalize(s, excluded=(), eps=0.2):
-    """The points normalize() gave as first written, with a window test per point."""
+    """The points normalize() gives, spelled out with a lookup-window test per point."""
     excluded = list(excluded)
 
     def is_excluded(mz):
-        return any(abs(mz - ion.mz) <= eps for ion in excluded)
+        return any(ion.mz - eps <= mz <= ion.mz + eps for ion in excluded)
 
     ref = 0.0
     have_candidate = False
@@ -279,6 +279,16 @@ class TestNormalize:
         s = Spectrum(((10.0, 1e-300), (38.963, 1e308)))
         with pytest.raises(CannotNormalize, match="overflows"):
             normalize(s, excluded=[K], eps=0.1)
+
+    @given(edge_cases())
+    def test_excluded_exactly_when_a_lookup_window_sees_it(self, case):
+        s, excluded, eps = case
+        mzs = [mz for mz, _ in s.points]
+        for i in range(len(mzs)):
+            # Point i is the one peak of 2 among peaks of 1.
+            lifted = Spectrum(tuple((mz, 2.0 if j == i else 1.0) for j, mz in enumerate(mzs)))
+            seen = any(peak_abundance(lifted, ion, eps) == 2.0 for ion in excluded)
+            assert (outcome(scale_factor, lifted, excluded, eps) != ("ok", 50.0)) == seen
 
     @given(spectra().filter(lambda s: s.max_abundance > 1e-6))
     def test_idempotent(self, s):
