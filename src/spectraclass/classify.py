@@ -182,6 +182,12 @@ def fmt(x: float) -> str:
     return format(x, ".6g")
 
 
+def _csv_field(text: str) -> str:
+    """``text`` as one RFC 4180 field: quoted, each ``"`` doubled, if it holds , " CR or LF."""
+    quote = "," in text or '"' in text or "\r" in text or "\n" in text
+    return '"' + text.replace('"', '""') + '"' if quote else text
+
+
 def write_batch_csv(results, class_codes, stream) -> None:
     """Batch result CSV: id, x, y, label, confidence, one mu column per class."""
     header = ["id", "x", "y", "label", "confidence"] + [f"mu_{c}" for c in class_codes]
@@ -190,8 +196,8 @@ def write_batch_csv(results, class_codes, stream) -> None:
         x = fmt(r.position[0]) if r.position else ""
         y = fmt(r.position[1]) if r.position else ""
         if r.error is not None:
-            row = [r.id, x, y, "ERROR", ""] + [""] * len(class_codes)
+            row = [_csv_field(r.id), x, y, "ERROR", ""] + [""] * len(class_codes)
         else:
-            row = [r.id, x, y, r.classification.label, fmt(r.classification.confidence)]
+            row = [_csv_field(r.id), x, y, r.classification.label, fmt(r.classification.confidence)]
             row += [fmt(r.membership.values[c]) for c in class_codes]
         stream.write(",".join(row) + "\n")

@@ -109,17 +109,17 @@ def cmd_stats(args) -> int:
     by_label = args.group_by == "label"
 
     def read(text, id):
-        """The normalized spectrum to bin and, by label, the label classify gives the raw one."""
+        """The peak list to bin and, by label, the label classify gives the raw spectrum."""
         raw = parse_spectrum(text, id=id)
         label = harden(classify_spectrum(raw), rb.options.nu).label if by_label else None
-        return normalize(raw, excluded, eps), label
+        return stats.peak_list(normalize(raw, excluded, eps), eps), label
 
     groups: dict = {}
     group_dirs: dict = {}  # directory group key -> the directory it names
-    normalized = []
+    peak_lists = []
     for path in inputs:
-        s, key = _read_input(path, lambda text: read(text, Path(path).stem))
-        normalized.append(s)
+        peaks, key = _read_input(path, lambda text: read(text, Path(path).stem))
+        peak_lists.append(peaks)
         if not by_label:
             parent = Path(path).parent
             # "." and ".." name no directory; abspath gives the one they mean.
@@ -129,9 +129,9 @@ def cmd_stats(args) -> int:
                 raise SpectraClassError(
                     f"directories {str(first)!r} and {str(parent)!r} "
                     f"share the group name {key!r}")
-        groups.setdefault(key, []).append(s)
+        groups.setdefault(key, []).append(peaks)
 
-    ensemble_db = stats.build_statdb(normalized, eps)
+    ensemble_db = stats.build_statdb(peak_lists, eps)
     out_dir = Path(args.out) if args.out else None
     if out_dir:
         out_dir.mkdir(parents=True, exist_ok=True)

@@ -210,9 +210,11 @@ def scale_factor(s: Spectrum, excluded: Iterable[IonTarget] = (), eps: float = 0
     The reference is the highest peak outside every excluded ion's
     window_slice(). Since x -> x * factor is monotone under rounding, a
     windowed maximum of the normalized spectrum equals the raw windowed
-    maximum times this factor, bit for bit. A factor that would scale an
-    (excluded) peak past the float range is refused.
+    maximum times this factor, bit for bit. An eps outside [0, inf) and a
+    factor that would scale an (excluded) peak past the float range are refused.
     """
+    if not 0.0 <= eps < math.inf:  # also false for nan
+        raise DomainError(f"eps must be finite and non-negative, got {eps}")
     ref = s.max_abundance
     windows = sorted(window_slice(s.mzs, ion.mz, eps) for ion in excluded)
     if windows:
@@ -236,8 +238,8 @@ def scale_factor(s: Spectrum, excluded: Iterable[IonTarget] = (), eps: float = 0
 
 def peak_abundance(s: Spectrum, chi: IonTarget, eps: float) -> float:
     """Maximum abundance in the window_slice() of ``chi``; an empty window yields 0, not an error."""
-    if eps < 0:
-        raise DomainError("eps must be non-negative")
+    if not 0.0 <= eps < math.inf:  # also false for nan
+        raise DomainError(f"eps must be finite and non-negative, got {eps}")
     lo, hi = window_slice(s.mzs, chi.mz, eps)
     if lo >= hi:
         return 0.0

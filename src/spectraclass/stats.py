@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import chain
 
 from .classify import fmt
 from .errors import EmptyEnsemble, IncompatibleDBs
@@ -70,21 +71,18 @@ def peak_list(s: Spectrum, eps: float):
     return out
 
 
-def build_statdb(spectra, eps: float) -> StatDB:
-    """Accumulate consolidated peaks from all spectra into m/z bins.
+def build_statdb(peak_lists, eps: float) -> StatDB:
+    """Accumulate the peak_list() of each spectrum into m/z bins.
 
     Binning walks the globally sorted peak stream and opens a new bin
     whenever the incoming m/z exceeds the current bin's running mean by
     more than eps. Sorting first makes the result independent of the
     input spectrum order.
     """
-    spectra = list(spectra)
-    if not spectra:
+    peak_lists = list(peak_lists)
+    if not peak_lists:
         raise EmptyEnsemble("no spectra to accumulate")
-    peaks = []
-    for s in spectra:
-        peaks.extend(peak_list(s, eps))
-    peaks.sort()
+    peaks = sorted(chain.from_iterable(peak_lists))
 
     # The open bin lives in locals and becomes a StatBin when it closes;
     # its center is phi_sum / c, the running mean of its m/z values.
@@ -107,7 +105,7 @@ def build_statdb(spectra, eps: float) -> StatDB:
             phi_sum, c, a_tot, a_tot2, a_max, a_min = mz, 1, ab, ab * ab, ab, ab
     if c:
         bins.append(StatBin(phi_sum / c, c, a_tot, a_tot2, a_max, a_min))
-    return StatDB(bins=bins, n_spectra=len(spectra), eps=eps)
+    return StatDB(bins=bins, n_spectra=len(peak_lists), eps=eps)
 
 
 def full_presence_bins(db: StatDB):

@@ -15,7 +15,7 @@ from spectraclass.fuzzy import f_and, f_not, f_or, mu_high, mu_low
 from spectraclass.rulebase import builtin_basalt, parse_rulebase, serialize_rulebase
 from spectraclass.spatial import Spot, SampleGrid, classify_spots, reclassify_map
 from spectraclass.spectrum import Spectrum
-from spectraclass.stats import build_statdb, class_vs_ensemble_report
+from spectraclass.stats import build_statdb, class_vs_ensemble_report, peak_list
 
 
 def _report(n, desc, t0, limit):
@@ -197,7 +197,7 @@ def test_criterion_6_stats_oracle():
         pts = sorted({round(rng.uniform(20, 60), 3): round(rng.uniform(1, 100), 2)
                       for _ in range(20)}.items())
         spectra.append(Spectrum(tuple(pts)))
-    db = build_statdb(spectra, 0.05)
+    db = build_statdb([peak_list(s, 0.05) for s in spectra], 0.05)
     expected = brute_force_statdb_fields(spectra, 0.05)
     assert len(db.bins) == len(expected)
     for b, e in zip(db.bins, expected):
@@ -208,7 +208,7 @@ def test_criterion_6_stats_oracle():
     for _ in range(100):
         shuffled = spectra[:]
         rng.shuffle(shuffled)
-        other = build_statdb(shuffled, 0.05)
+        other = build_statdb([peak_list(s, 0.05) for s in shuffled], 0.05)
         assert [(b.phi, b.c, b.a_tot, b.a_tot2, b.a_max, b.a_min) for b in other.bins] == \
                [(b.phi, b.c, b.a_tot, b.a_tot2, b.a_max, b.a_min) for b in db.bins]
     _report(6, "stat DB matches brute-force accumulation; order-invariant", t0, 5.0)
@@ -223,8 +223,8 @@ def test_criterion_7_key_ion_report():
         plag.append(Spectrum(tuple(sorted({**common, 26.982: 12.0, 39.95: 60.0}.items()))))
     for _ in range(9):
         others.append(Spectrum(tuple(sorted({**common, 26.982: 1.0, 39.95: 5.0}.items()))))
-    class_db = build_statdb(plag, 0.2)
-    ensemble_db = build_statdb(plag + others, 0.2)
+    class_db = build_statdb([peak_list(s, 0.2) for s in plag], 0.2)
+    ensemble_db = build_statdb([peak_list(s, 0.2) for s in plag + others], 0.2)
     rows = class_vs_ensemble_report(class_db, ensemble_db)
     full = [r for r in rows if r.count == class_db.n_spectra]
     above = {round(r.phi, 3) for r in full if r.ratio > 2}

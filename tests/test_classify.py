@@ -1,3 +1,4 @@
+import csv
 import io
 import math
 import random
@@ -317,6 +318,20 @@ class TestBatch:
         out = io.StringIO()
         write_batch_csv(results, basalt.class_codes(), out)
         assert out.getvalue().splitlines()[2] == "bad,,,ERROR,,,,,"
+
+    @pytest.mark.parametrize("sid, field", [
+        ("a,b", '"a,b"'), ('say "hi"', '"say ""hi"""'), ("a\r\nb", '"a\r\nb"'),
+        ("x12 y40", "x12 y40"), ("", ""), ("'quoted'", "'quoted'"),
+    ])
+    def test_id_quoted_when_it_would_break_the_row(self, basalt, sid, field):
+        results = classify_batch([(sid, spectrum_csv({"Al": 20})), (sid, "26.98,abc\n")], basalt)
+        out = io.StringIO()
+        write_batch_csv(results, basalt.class_codes(), out)
+        _, rows = out.getvalue().split("\n", 1)
+        assert rows.startswith(field + ",,,PLG,")
+        assert rows.endswith("\n" + field + ",,,ERROR,,,,,\n")
+        read = list(csv.reader(io.StringIO(rows, newline="")))
+        assert [(row[0], row[3], len(row)) for row in read] == [(sid, "PLG", 9), (sid, "ERROR", 9)]
 
     @pytest.mark.parametrize("change, error", [
         (lambda rb: rb.classes.clear(), NoClasses),

@@ -1,4 +1,5 @@
 import contextlib
+import csv
 import io
 import os
 import tempfile
@@ -8,9 +9,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import spectrum_csv
-from spectraclass import rulebase
+from spectraclass import rulebase, stats
 from spectraclass.cli import EX_FATAL, EX_OK, EX_PARTIAL, EX_USAGE, load_rules, main
 from spectraclass.rulebase import builtin_basalt, serialize_rulebase
+from spectraclass.stats import peak_list
 
 FIXTURES = {
     "agt": {"Ca": 80, "Fe": 30},
@@ -87,6 +89,19 @@ class TestClassifyCmd:
         spectrum, rules = k_edge_files(tmp_path)
         assert main(["classify", str(spectrum), "--rules", str(rules)]) == EX_OK
         assert capsys.readouterr().out.splitlines()[1] == "s1,,,X,1,1"
+
+    def test_id_with_a_comma_quoted(self, spectra_dir, tmp_path):
+        # Spot files named by position, as in x12,y40.csv, hold commas.
+        d = tmp_path / "in"
+        d.mkdir()
+        (d / "a,ILM.csv").write_text("26.982,20\n100,100\n")
+        (d / "b.csv").write_text(spectrum_csv(FIXTURES["agt"]))
+        out = tmp_path / "out.csv"
+        assert main(["classify", str(d / "*.csv"), "--out", str(out)]) == EX_OK
+        with open(out, encoding="utf-8", newline="") as f:
+            rows = list(csv.reader(f))
+        assert rows[1] == ["a,ILM", "", "", "PLG", "1", "0", "0", "1", "0"]
+        assert len(rows[0]) == 9
 
     def test_unreadable_rules_fatal(self, spectra_dir):
         code = main(["classify", str(spectra_dir / "agt.csv"),
@@ -186,6 +201,18 @@ class TestStatsCmd:
         assert code == EX_FATAL
         assert capsys.readouterr().err == \
             f"spectraclass: error: {bad}: all non-excluded abundances are zero\n"
+
+    @pytest.mark.parametrize("group_by", ["label", "directory"])
+    def test_each_file_consolidated_once(self, spectra_dir, monkeypatch, capsys, group_by):
+        calls = []
+
+        def counting_peak_list(s, eps):
+            calls.append(s.id)
+            return peak_list(s, eps)
+
+        monkeypatch.setattr(stats, "peak_list", counting_peak_list)
+        assert main(["stats", str(spectra_dir / "*.csv"), "--group-by", group_by]) == EX_OK
+        assert sorted(calls) == sorted(FIXTURES)
 
     def test_group_by_label_is_the_classify_label(self, tmp_path, capsys):
         # 370.585 * (100 / 370.585) is not 100, so labelling the normalized

@@ -1,14 +1,15 @@
-"""Every import in the package's modules is used."""
+"""Every import in the package's modules is used, and the runtime is pure stdlib."""
 
 import ast
+import sys
 from pathlib import Path
 
 import pytest
 
 import spectraclass
 
-MODULES = sorted(p for p in Path(spectraclass.__file__).parent.glob("*.py")
-                 if p.name != "__init__.py")  # __init__ imports to re-export
+ALL_MODULES = sorted(Path(spectraclass.__file__).parent.glob("*.py"))
+MODULES = [p for p in ALL_MODULES if p.name != "__init__.py"]  # __init__ imports to re-export
 
 
 def unused_imports(source: str) -> list:
@@ -34,3 +35,27 @@ def test_finds_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def absolute_imports(source: str) -> list:
+    """The top-level names of the modules ``source`` imports absolutely."""
+    names = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names += [alias.name.partition(".")[0] for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.append(node.module.partition(".")[0])
+    return names
+
+
+def test_finds_absolute_imports():
+    source = ("from __future__ import annotations\nimport os.path, json\n"
+              "from . import a\nfrom .b import c\nfrom numpy.linalg import d\n")
+    assert absolute_imports(source) == ["__future__", "os", "json", "numpy"]
+
+
+@pytest.mark.parametrize("path", ALL_MODULES, ids=[p.name for p in ALL_MODULES])
+def test_imports_only_the_standard_library(path):
+    # Anything else, the package itself included, must be a relative import.
+    names = absolute_imports(path.read_text(encoding="utf-8"))
+    assert [name for name in names if name not in sys.stdlib_module_names] == []

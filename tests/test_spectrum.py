@@ -323,6 +323,20 @@ class TestPeakAbundance:
         s = Spectrum(((55.954, 40.0),))
         assert peak_abundance(s, FE, 0.0) == 40.0
 
+    @pytest.mark.parametrize("fn", [
+        lambda s, eps: peak_abundance(s, FE, eps),
+        lambda s, eps: scale_factor(s, [IonTarget("K", 419.0)], eps),
+        lambda s, eps: scale_factor(s, (), eps),
+        lambda s, eps: normalize(s, [IonTarget("K", 419.0)], eps),
+    ], ids=["peak_abundance", "scale_factor", "scale_factor-no-exclusion", "normalize"])
+    @pytest.mark.parametrize("eps", [math.nan, math.inf, -math.inf, -1.0, -1e-300])
+    def test_bad_eps_rejected(self, fn, eps):
+        # Unchecked, a nan eps makes the window (0, len), the whole
+        # spectrum's maximum, and a negative one excludes nothing.
+        s = Spectrum(((10.0, 5.0), (55.954, 40.0), (419.0, 100.0)))
+        with pytest.raises(DomainError, match=f"eps must be finite and non-negative, got {eps}"):
+            fn(s, eps)
+
     @given(spectra(), st.floats(0.0, 5.0), st.floats(0.0, 5.0), st.floats(1.0, 1000.0))
     def test_monotone_in_eps(self, s, e1, e2, mz):
         lo, hi = sorted((e1, e2))

@@ -17,6 +17,11 @@ from spectraclass.stats import (
 )
 
 
+def statdb(spectra, eps):
+    """build_statdb() over the peak_list() of each spectrum, as stats consolidates them."""
+    return build_statdb([peak_list(s, eps) for s in spectra], eps)
+
+
 class TestPeakList:
     def test_consolidation(self):
         s = Spectrum(((26.98, 5.0), (26.99, 7.0), (55.95, 40.0)))
@@ -39,7 +44,7 @@ class TestBuildStatDB:
     def test_hand_accumulation(self):
         a = Spectrum(((26.98, 5.0),))
         b = Spectrum(((26.99, 7.0),))
-        db = build_statdb([a, b], 0.02)
+        db = statdb([a, b], 0.02)
         assert len(db.bins) == 1
         bin0 = db.bins[0]
         assert bin0.phi == pytest.approx(26.985, abs=1e-12)
@@ -52,7 +57,7 @@ class TestBuildStatDB:
 
     def test_single_spectrum_identity(self):
         s = Spectrum(((26.98, 5.0), (55.95, 40.0)))
-        db = build_statdb([s], 0.02)
+        db = statdb([s], 0.02)
         for b in db.bins:
             assert b.c == 1
             assert b.a_tot2 == b.a_tot ** 2
@@ -60,7 +65,7 @@ class TestBuildStatDB:
     def test_distant_peaks_two_bins(self):
         a = Spectrum(((26.0, 5.0),))
         b = Spectrum(((27.0, 7.0),))
-        db = build_statdb([a, b], 0.02)
+        db = statdb([a, b], 0.02)
         assert len(db.bins) == 2
 
     def test_empty_input(self):
@@ -74,11 +79,11 @@ class TestBuildStatDB:
             pts = sorted({round(rng.uniform(20, 60), 3): rng.uniform(1, 100)
                           for _ in range(15)}.items())
             spectra.append(Spectrum(tuple(pts)))
-        base = build_statdb(spectra, 0.05)
+        base = statdb(spectra, 0.05)
         for _ in range(30):
             shuffled = spectra[:]
             rng.shuffle(shuffled)
-            db = build_statdb(shuffled, 0.05)
+            db = statdb(shuffled, 0.05)
             assert len(db.bins) == len(base.bins)
             for x, y in zip(db.bins, base.bins):
                 assert x.phi == pytest.approx(y.phi, abs=1e-9)
@@ -92,7 +97,7 @@ class TestBuildStatDB:
             pts = sorted({round(rng.uniform(20, 30), 2): rng.uniform(1, 100)
                           for _ in range(10)}.items())
             spectra.append(Spectrum(tuple(pts)))
-        db = build_statdb(spectra, 0.1)
+        db = statdb(spectra, 0.1)
         for b in db.bins:
             assert b.variance() >= -1e-9
 
@@ -102,7 +107,7 @@ class TestFullPresence:
         s1 = Spectrum(((26.98, 5.0), (55.95, 40.0)))
         s2 = Spectrum(((26.99, 7.0), (55.95, 30.0)))
         s3 = Spectrum(((26.98, 6.0),))
-        db = build_statdb([s1, s2, s3], 0.05)
+        db = statdb([s1, s2, s3], 0.05)
         full = full_presence_bins(db)
         assert [b.c for b in full] == [3]
         assert full[0].phi == pytest.approx((26.98 + 26.99 + 26.98) / 3)
@@ -110,7 +115,7 @@ class TestFullPresence:
     def test_subset_property(self):
         s1 = Spectrum(((26.98, 5.0), (55.95, 40.0)))
         s2 = Spectrum(((30.0, 7.0),))
-        db = build_statdb([s1, s2], 0.05)
+        db = statdb([s1, s2], 0.05)
         full = full_presence_bins(db)
         assert all(b in db.bins for b in full)
         assert all(b.c == db.n_spectra for b in full)
@@ -120,37 +125,37 @@ class TestReport:
     def test_ratio(self):
         cls = [Spectrum(((26.98, 10.0),)), Spectrum(((26.98, 10.0),))]
         ens = cls + [Spectrum(((26.98, 2.0),))] * 8
-        class_db = build_statdb(cls, 0.05)
+        class_db = statdb(cls, 0.05)
         # class mean 10; ensemble mean (20 + 16) / 10 = 3.6
-        rows = class_vs_ensemble_report(class_db, build_statdb(ens, 0.05))
+        rows = class_vs_ensemble_report(class_db, statdb(ens, 0.05))
         assert len(rows) == 1
         assert rows[0].ratio == pytest.approx(10.0 / 3.6)
         assert rows[0].flag == "key-candidate"
 
     def test_self_comparison_all_ones(self):
         spectra = [make_spectrum({"Al": 12, "Ca": 60}), make_spectrum({"Al": 14, "Ca": 55})]
-        db = build_statdb(spectra, 0.05)
+        db = statdb(spectra, 0.05)
         rows = class_vs_ensemble_report(db, db)
         assert all(r.ratio == pytest.approx(1.0) for r in rows)
 
     def test_unique_bin_flagged(self):
         cls = [Spectrum(((26.98, 10.0), (90.0, 5.0)))]
         ens = [Spectrum(((26.98, 10.0),))]
-        rows = class_vs_ensemble_report(build_statdb(cls, 0.05), build_statdb(ens, 0.05))
+        rows = class_vs_ensemble_report(statdb(cls, 0.05), statdb(ens, 0.05))
         unique = [r for r in rows if r.flag == "unique"]
         assert len(unique) == 1
         assert math.isinf(unique[0].ratio)
 
     def test_partial_presence_flagged(self):
         cls = [Spectrum(((26.98, 10.0), (40.0, 5.0))), Spectrum(((40.0, 5.0),))]
-        rows = class_vs_ensemble_report(build_statdb(cls, 0.05), build_statdb(cls, 0.05))
+        rows = class_vs_ensemble_report(statdb(cls, 0.05), statdb(cls, 0.05))
         flags = {round(r.phi, 2): r.flag for r in rows}
         assert flags[26.98] == "partial-presence"
         assert flags[40.0] == "-"
 
     def test_zero_inclusive_mode(self):
         cls = [Spectrum(((26.98, 10.0),)), Spectrum(((50.0, 4.0),))]
-        db = build_statdb(cls, 0.05)
+        db = statdb(cls, 0.05)
         rows = class_vs_ensemble_report(db, db, mode="zero-inclusive-mean")
         # both DBs divide by the same n_spectra, so ratios stay 1
         assert all(r.ratio == pytest.approx(1.0) for r in rows)
@@ -158,7 +163,7 @@ class TestReport:
     def test_eps_mismatch(self):
         s = Spectrum(((26.98, 5.0),))
         with pytest.raises(IncompatibleDBs):
-            class_vs_ensemble_report(build_statdb([s], 0.02), build_statdb([s], 0.05))
+            class_vs_ensemble_report(statdb([s], 0.02), statdb([s], 0.05))
 
 
 def old_peak_list(s, eps):
@@ -241,7 +246,7 @@ class TestAgainstFirstVersion:
     @example(SIGNED_ZERO_TIES, 0.5)
     @example(EQUAL_ABUNDANCES * 2, 0.125)
     def test_build_statdb(self, spectra, eps):
-        db, ref = build_statdb(spectra, eps), old_build_statdb(spectra, eps)
+        db, ref = statdb(spectra, eps), old_build_statdb(spectra, eps)
         assert (db.n_spectra, db.eps) == (ref.n_spectra, ref.eps)
         assert len(db.bins) == len(ref.bins)
         for b, r in zip(db.bins, ref.bins):
@@ -254,4 +259,4 @@ class TestAgainstFirstVersion:
         rng.shuffle(shuffled)
         # ==, not exact(): which of two tied zeros of opposite sign a bin
         # keeps as its max or min follows the input order
-        assert build_statdb(shuffled, eps) == build_statdb(spectra, eps)
+        assert statdb(shuffled, eps) == statdb(spectra, eps)
