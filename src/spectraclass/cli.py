@@ -3,11 +3,14 @@
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import glob
 import math
 import os
+import shutil
 import sys
+import tempfile
 from collections import Counter
 from pathlib import Path
 
@@ -159,29 +162,57 @@ def cmd_map(args) -> int:
         raise SpectraClassError(f"--nu must be in [0,1], got {args.nu}")
     if args.floor is not None and not math.isfinite(args.floor):
         raise SpectraClassError(f"--floor must be finite, got {args.floor}")
-    grid = _read_input(args.input, spatial.read_grid_csv)
-    if args.topology:
-        grid.topology = {"rect": spatial.RECTANGULAR, "hex": spatial.HEXAGONAL}[args.topology]
-    palette = _read_input(args.palette, pixmap.load_palette) if args.palette else None
-
-    pre = spatial.classify_spots(grid, args.nu)
-    post = spatial.reclassify_map(grid, args.nu, floor=args.floor, _pre=pre)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-
-    with open(out_dir / "pre.csv", "w", encoding="utf-8", newline="") as f_pre, \
-            open(out_dir / "post.csv", "w", encoding="utf-8", newline="") as f_post:
-        spatial.write_map_csv(grid, ((pre, f_pre), (post, f_post)))
-    for name, cmap in (("pre", pre), ("post", post)):
-        with open(out_dir / f"{name}.ppm", "wb") as f:
-            pixmap.write_ppm(f, grid.cols, grid.rows, pixmap.render_class_map(cmap, palette))
-    for code in grid.class_codes:
-        with open(out_dir / f"mu_{code}.ppm", "wb") as f:
-            pixmap.write_ppm(f, grid.cols, grid.rows,
-                             pixmap.render_membership_map(grid, code))
-    n_assigned = sum(1 for c in post.cells if c.neighbor_assigned)
+    palette = palette_error = None
+    if args.palette:
+        try:
+            palette = _read_input(args.palette, pixmap.load_palette)
+        except (SpectraClassError, OSError) as exc:
+            palette_error = exc  # a grid error is reported first, as if the palette were read after it
+    with contextlib.ExitStack() as stack:
+        files, n_assigned = _read_input(
+            args.input, lambda text: _stream_maps(text, args, palette, stack))
+        if palette_error is not None:
+            raise palette_error
+        out_dir = Path(args.out)
+        out_dir.mkdir(parents=True, exist_ok=True)
+        for name, tmp in files.items():
+            tmp.seek(0)
+            with open(out_dir / name, "wb") as f:
+                shutil.copyfileobj(tmp, f)
     print(f"wrote maps to {out_dir} ({n_assigned} neighbor-assigned spots)")
     return EX_OK
+
+
+def _stream_maps(text, args, palette, stack):
+    """Write every map of grid ``text`` into unnamed temporary files, one grid row at a time.
+
+    Returns ``({output name: temporary file}, neighbor-assigned spot
+    count)``. The files are entered into ``stack``; they hold good maps
+    only if this returns, since the grid is checked to its last line.
+    """
+    rows = spatial.read_grid_rows(text)
+    topology, height, width, codes = next(rows)
+    if args.topology:
+        topology = {"rect": spatial.RECTANGULAR, "hex": spatial.HEXAGONAL}[args.topology]
+    names = ["pre.csv", "post.csv", "pre.ppm", "post.ppm", *(f"mu_{c}.ppm" for c in codes)]
+    files = {name: stack.enter_context(tempfile.TemporaryFile()) for name in names}
+    pre_csv, post_csv, pre_ppm, post_ppm, *mu_ppms = (f.write for f in files.values())
+    for write in (pre_csv, post_csv):
+        write(spatial.MAP_CSV_HEADER.encode("utf-8"))
+    header = pixmap.ppm_header(width, height)
+    for write in (pre_ppm, post_ppm, *mu_ppms):
+        write(header)
+    n_assigned = 0
+    for spots, pre, post in spatial.map_rows(topology, codes, rows, args.nu, args.floor):
+        pre_lines, post_lines = spatial.map_csv_lines(spots, (pre, post))
+        pre_csv(pre_lines.encode("utf-8"))
+        post_csv(post_lines.encode("utf-8"))
+        pre_ppm(pixmap.ppm_bytes(pixmap.class_pixels(pre, palette)))
+        post_ppm(pixmap.ppm_bytes(pixmap.class_pixels(post, palette)))
+        for code, write in zip(codes, mu_ppms):
+            write(pixmap.ppm_bytes(pixmap.membership_pixels(spots, code)))
+        n_assigned += sum(cell.neighbor_assigned for cell in post)
+    return files, n_assigned
 
 
 def cmd_validate_rules(args) -> int:

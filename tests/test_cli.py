@@ -2,7 +2,9 @@ import contextlib
 import csv
 import io
 import os
+import random
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -439,6 +441,128 @@ class TestMapCmd:
         self._fatal(["map", str(grid), "--out", str(tmp_path / "m")], capsys,
                     f"grid.csv: rows/cols headers must be at least 1, got {rows} x {cols}")
         assert not (tmp_path / "m").exists()
+
+
+MALFORMED_GRIDS = {  # the grid file's text from grid_file's -> the error that ends the run
+    "field count": (lambda t: t.replace("s4,1,1,X,0,0,0.3,0,0", "s4,1,1,X,0,0,0.3,0,0,7"),
+                    "expected 9 fields (line 9)"),
+    "non-numeric": (lambda t: t.replace("s4,1,1,X,0,0,0.3", "s4,1,1,X,0,0,abc"),
+                    "non-numeric field in grid row (line 9)"),
+    "late missing header": (lambda t: t.replace("s4,1,1,X,0,0,0.3", "s4,1,1,X,0,0,abc")
+                            .replace("# cols: 3\n", ""), "missing grid header '# cols:'"),
+    "mu out of range": (lambda t: t.replace("s4,1,1,X,0,0,0.3", "s4,1,1,X,0,0,1.5"),
+                        "mu_AGT = 1.5 is outside [0,1] (line 9)"),
+    "no data rows": (lambda t: t[:t.index("id,")], "grid file has no data rows"),
+    "no mu columns": (lambda t: t.replace("mu_", "nu_"), "no mu_<CLASS> columns in grid CSV (line 4)"),
+    "non-integer rows": (lambda t: t.replace("# rows: 3", "# rows: three"),
+                         "rows/cols headers must be integers"),
+    "spot count": (lambda t: t.replace("# rows: 3", "# rows: 4"), "expected 12 spots, got 9"),
+}
+
+
+def map_grid_text(rows, cols, seed=0):
+    """A hexagonal grid file of ``rows`` x ``cols`` spots, about half of them below nu 0.5."""
+    rng = random.Random(seed)
+    lines = ["# topology: hex", f"# rows: {rows}", f"# cols: {cols}",
+             "id,x,y,label,confidence,mu_A,mu_B,mu_C"]
+    lines += [f"s{i},{i % cols},{i // cols},X,0,"
+              + ",".join(str(rng.choice((0.1, 0.2, 0.3, 0.7))) for _ in range(3))
+              for i in range(rows * cols)]
+    return "\n".join(lines) + "\n"
+
+
+class TestMapStreaming:
+    def _fatal(self, argv, capsys, message):
+        assert main(argv) == EX_FATAL
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"spectraclass: error: {message}\n")
+
+    @pytest.mark.parametrize("name", MALFORMED_GRIDS)
+    def test_malformed_grid_pinned(self, tmp_path, capsys, name):
+        edit, message = MALFORMED_GRIDS[name]
+        grid = grid_file(tmp_path)
+        grid.write_text(edit(grid.read_text()))
+        self._fatal(["map", str(grid), "--out", str(tmp_path / "m")], capsys, f"{grid}: {message}")
+        assert not (tmp_path / "m").exists()
+
+    def test_error_leaves_existing_out_untouched(self, tmp_path, capsys):
+        grid = grid_file(tmp_path)
+        grid.write_text(grid.read_text().replace("# rows: 3", "# rows: 4"))
+        out = tmp_path / "m"
+        out.mkdir()
+        (out / "pre.csv").write_text("old\n")
+        self._fatal(["map", str(grid), "--out", str(out)], capsys, f"{grid}: expected 12 spots, got 9")
+        assert [p.name for p in out.iterdir()] == ["pre.csv"]
+        assert (out / "pre.csv").read_text() == "old\n"
+
+    @pytest.mark.parametrize("extra", [
+        ["--palette", "{d}/pal.txt"],  # a channel out of range
+        ["--palette", "{d}/missing.txt"],
+        ["--out", "{d}/file"],  # --out names a file
+    ])
+    def test_grid_error_reported_first(self, tmp_path, capsys, extra):
+        grid = grid_file(tmp_path)
+        grid.write_text(grid.read_text().replace("s4,1,1,X,0,0,0.3", "s4,1,1,X,0,0,abc"))
+        (tmp_path / "pal.txt").write_text("A 300 0 0\n")
+        (tmp_path / "file").write_text("")
+        argv = ["map", str(grid), "--out", str(tmp_path / "m")] + [a.format(d=tmp_path) for a in extra]
+        self._fatal(argv, capsys, f"{grid}: non-numeric field in grid row (line 9)")
+        assert not (tmp_path / "m").exists()
+
+    def test_unknown_topology_reported_despite_override(self, tmp_path, capsys):
+        grid = grid_file(tmp_path, topology="tri")
+        self._fatal(["map", str(grid), "--topology", "rect", "--out", str(tmp_path / "m")], capsys,
+                    f"{grid}: unknown topology 'tri'")
+
+    def test_palette_code_given_twice_fatal(self, tmp_path, capsys):
+        grid = grid_file(tmp_path)
+        pal = tmp_path / "pal.txt"
+        pal.write_text("A 255 0 0\n# green\nA 0 255 0\n")
+        self._fatal(["map", str(grid), "--palette", str(pal), "--out", str(tmp_path / "m")], capsys,
+                    f"{pal}: palette line 3: code 'A' set twice")
+        assert not (tmp_path / "m").exists()
+
+    @pytest.mark.parametrize("x,y,message", [
+        ("nan", "0", "x = nan is not finite"),
+        ("inf", "1e999", "x = inf is not finite"),
+        ("1", "-inf", "y = -inf is not finite"),
+    ])
+    def test_non_finite_position_fatal(self, tmp_path, capsys, x, y, message):
+        grid = grid_file(tmp_path)
+        grid.write_text(grid.read_text().replace("s4,1,1,", f"s4,{x},{y},"))
+        self._fatal(["map", str(grid), "--out", str(tmp_path / "m")], capsys,
+                    f"{grid}: {message} (line 9)")
+        assert not (tmp_path / "m").exists()
+
+    def test_batch_csv_with_quoted_ids_maps(self, tmp_path, capsys):
+        inputs = tmp_path / "in"
+        inputs.mkdir()
+        for name, fixture in (("a,ILM", "ilm"), ('b"q', "agt")):
+            (inputs / f"{name}.csv").write_text(spectrum_csv(FIXTURES[fixture]))
+        batch = tmp_path / "batch.csv"
+        assert main(["classify", str(inputs / "*.csv"), "--out", str(batch)]) == EX_OK
+        assert '"a,ILM"' in batch.read_text() and '"b""q"' in batch.read_text()
+        grid = tmp_path / "grid.csv"
+        grid.write_text("# topology: rect\n# rows: 1\n# cols: 2\n" + batch.read_text())
+        capsys.readouterr()
+        assert main(["map", str(grid), "--out", str(tmp_path / "m")]) == EX_OK
+        labels = [line.split(",")[2] for line in (tmp_path / "m" / "pre.csv").read_text().splitlines()]
+        assert labels == ["label", "ILM", "AGT"]
+
+    def test_heap_bounded_by_a_few_rows(self, tmp_path, monkeypatch):
+        # The file's text is in memory before tracing starts, so the peak is the row loop's.
+        texts = {f"{rows}.csv": map_grid_text(rows, 40) for rows in (100, 1000)}
+        monkeypatch.setattr(Path, "read_text", lambda self, encoding=None: texts[self.name])
+        assert main(["map", "100.csv", "--out", str(tmp_path / "warm")]) == EX_OK
+        peaks = []
+        for name in texts:
+            tracemalloc.start()
+            try:
+                assert main(["map", name, "--out", str(tmp_path / name)]) == EX_OK
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.5 * peaks[0], peaks
 
 
 class TestValidateCmd:

@@ -1,16 +1,23 @@
+import contextlib
 import io
 import math
 import random
+import tempfile
+from pathlib import Path
+from unittest import mock
 
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from spectraclass.classify import UNK, harden_values
+from spectraclass import spatial
+from spectraclass.classify import UNK, fmt, harden_values
+from spectraclass.cli import main
 from spectraclass.errors import BadIndex, DuplicateName, ParseError
-from spectraclass.pixmap import render_membership_map
+from spectraclass.pixmap import render_class_map, render_membership_map, write_ppm
 from spectraclass.spatial import (
     HEXAGONAL,
     RECTANGULAR,
+    ClassificationMap,
     MapCell,
     SampleGrid,
     Spot,
@@ -206,7 +213,9 @@ class TestGridIO:
     def test_write_map_csv_one_pass_equals_one_map_at_a_time(self):
         g = read_grid_csv(GRID_CSV)
         pre = classify_spots(g, 0.5)
-        post = reclassify_map(g, 0.5, _pre=pre)
+        # Confident spots share their cell with pre, as in the maps `map` writes.
+        post = ClassificationMap([p if p.label != UNK else q
+                                  for p, q in zip(pre.cells, reclassify_map(g, 0.5).cells)])
         maps = (pre, post, pre)  # pre again after a map that shares only some cells
         alone = []
         for cmap in maps:
@@ -249,6 +258,23 @@ class TestGridIO:
         with pytest.raises(DuplicateName, match=f"grid header '# {key}:' set twice") as exc:
             read_grid_csv(text)
         assert exc.value.line == 9
+
+    def test_quoted_ids_read_as_csv_reader_reads_them(self):
+        text = GRID_CSV.replace("a,0,0,", '"a,ILM",0,0,').replace("b,1,0,", '"b""q",1,0,')
+        g = read_grid_csv(text)
+        assert [s.id for s in g.spots] == ["a,ILM", 'b"q', "c", "d"]
+        assert g.spots[1].membership == {"ILM": 0.2, "AGT": 0.8}
+
+    def test_quoted_field_left_open_rejected(self):
+        text = GRID_CSV.replace("c,0,1,", '"c,0,1,')
+        with pytest.raises(ParseError, match=r"quoted field not closed \(line 7\)"):
+            read_grid_csv(text)
+
+    @pytest.mark.parametrize("xy,message", [("nan,0", "x = nan"), ("0,-inf", "y = -inf"),
+                                            ("1e999,nan", "x = inf")])
+    def test_non_finite_position_rejected(self, xy, message):
+        with pytest.raises(ParseError, match=rf"{message} is not finite \(line 6\)"):
+            read_grid_csv(GRID_CSV.replace("b,1,0,", f"b,{xy},"))
 
     @pytest.mark.parametrize("rows,cols", [(-1, -1), (0, 0), (0, 2), (2, 0)])
     def test_size_below_one_rejected(self, rows, cols):
@@ -321,5 +347,98 @@ class TestReclassifyReference:
 
         expected = key(reference_map(grid, nu, floor))
         assert key(reclassify_map(grid, nu, floor).cells) == expected
-        pre = classify_spots(grid, nu)
-        assert key(reclassify_map(grid, nu, floor, _pre=pre).cells) == expected
+
+
+line_breaks = st.sampled_from(["\n", "\r\n", "\r", "\x0b", "\x1c", "\x85", "\u2028"])
+
+
+class TestChunkedLines:
+    @given(st.lists(st.tuples(st.text("ab, #", max_size=6), line_breaks), max_size=30),
+           st.integers(1, 8))
+    def test_lines_equal_splitlines(self, parts, chunk):
+        text = "".join(line + brk for line, brk in parts) + "tail"
+        for t in (text, text[:-4]):
+            with mock.patch.object(spatial, "_CHUNK", chunk):
+                assert list(spatial._lines(t)) == t.splitlines()
+
+
+# Positions, spellings and ids that a grid file may hold.
+positions = st.sampled_from(["", "0", "-0.0", "0.5", "3", "1e-07", "12345678.9"])
+ids = st.sampled_from(["s", "", '"a,ILM"', '"b""q"', " padded "])
+SPELLINGS = {RECTANGULAR: ["rect", RECTANGULAR], HEXAGONAL: ["hex", HEXAGONAL]}
+rgb = st.tuples(*[st.integers(0, 255)] * 3)
+
+
+@st.composite
+def map_runs(draw):
+    """A grid file's text, the SampleGrid it holds, and `map` options."""
+    grid = draw(grids())
+    xy = [(draw(positions), draw(positions)) for _ in grid.spots]
+    for spot, (x, y) in zip(grid.spots, xy):
+        spot.x, spot.y = float(x or 0), float(y or 0)
+    lines = ["id,x,y,label,confidence," + ",".join(f"mu_{c}" for c in grid.class_codes)]
+    lines += [f"{draw(ids)},{x},{y},X,0," + ",".join(repr(v) for v in spot.membership.values())
+              for spot, (x, y) in zip(grid.spots, xy)]
+    headers = {"topology": draw(st.sampled_from(SPELLINGS[grid.topology])),
+               "rows": grid.rows, "cols": grid.cols}
+    # Each header goes before, between or after the data lines.
+    for key, value in headers.items():
+        lines.insert(draw(st.integers(0, len(lines))), f"# {key}: {value}")
+    palette = draw(st.none() | st.dictionaries(st.sampled_from(CODES + [UNK]), rgb, max_size=3))
+    options = {"nu": draw(st.sampled_from([0.5, 1.0]) | st.floats(0.0, 1.0)),
+               "floor": draw(st.none() | st.floats(0.0, 2.0)),
+               "topology": draw(st.sampled_from([None, "rect", "hex"])),
+               "palette": palette}
+    return "\n".join(lines) + "\n", grid, options
+
+
+def expected_map_files(grid, nu, floor, palette):
+    """Every file `map` writes, spelled out over the whole grid."""
+    def csv_text(cells):
+        return "x,y,label,confidence,neighbor_assigned\n" + "".join(
+            f"{fmt(s.x)},{fmt(s.y)},{c.label},{fmt(c.confidence)},"
+            f"{'true' if c.neighbor_assigned else 'false'}\n" for s, c in zip(grid.spots, cells))
+
+    def ppm(pixels):
+        buf = io.BytesIO()
+        write_ppm(buf, grid.cols, grid.rows, pixels)
+        return buf.getvalue()
+
+    pre = [MapCell(*harden_values(s.membership, nu)) for s in grid.spots]
+    post = reference_map(grid, nu, floor)
+    files = {"pre.csv": csv_text(pre).encode(), "post.csv": csv_text(post).encode(),
+             "pre.ppm": ppm(render_class_map(ClassificationMap(pre), palette)),
+             "post.ppm": ppm(render_class_map(ClassificationMap(post), palette))}
+    for code in grid.class_codes:
+        files[f"mu_{code}.ppm"] = ppm(render_membership_map(grid, code))
+    return files, sum(c.neighbor_assigned for c in post)
+
+
+class TestMapCliReference:
+    @settings(max_examples=150, deadline=None)
+    @given(map_runs())
+    @example(("# topology: rect\n# rows: 1\n# cols: 1\nid,x,y,label,confidence,mu_A\ns,,,X,0,0.25\n",
+              SampleGrid(RECTANGULAR, 1, 1, [Spot({"A": 0.25})], ["A"]),
+              {"nu": 0.5, "floor": None, "topology": None, "palette": None}))
+    def test_cli_equals_whole_grid_reference(self, run):
+        text, grid, options = run
+        with tempfile.TemporaryDirectory() as d:
+            root = Path(d)
+            (root / "grid.csv").write_text(text, encoding="utf-8")
+            argv = ["map", str(root / "grid.csv"), "--out", str(root / "out"), "--nu", repr(options["nu"])]
+            if options["floor"] is not None:
+                argv.append(f"--floor={options['floor']!r}")
+            if options["topology"]:
+                argv += ["--topology", options["topology"]]
+                grid.topology = {"rect": RECTANGULAR, "hex": HEXAGONAL}[options["topology"]]
+            if options["palette"] is not None:
+                (root / "pal.txt").write_text("".join(f"{c} {r} {g} {b}\n"
+                                                      for c, (r, g, b) in options["palette"].items()))
+                argv += ["--palette", str(root / "pal.txt")]
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                assert main(argv) == 0
+            files, assigned = expected_map_files(grid, options["nu"], options["floor"],
+                                                 options["palette"])
+            assert {p.name: p.read_bytes() for p in (root / "out").iterdir()} == files
+            assert out.getvalue() == f"wrote maps to {root / 'out'} ({assigned} neighbor-assigned spots)\n"
