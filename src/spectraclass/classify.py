@@ -34,14 +34,15 @@ class Classification:
 
 
 def compile_rules(rb: RuleBase):
-    """Compile ``rb`` into a function ``Spectrum -> MembershipVector``.
+    """Compile ``rb`` into a function ``(Spectrum, factor=None) -> MembershipVector``.
 
     Every class expression is evaluated from windowed peak lookups
     through its membership terms, on the scale set by the rule base's
     normalization options. Each distinct ion m/z used by an expression
     gets one window_slice(), looked up once per spectrum on the raw points
     and rescaled by scale_factor(): the same value, bit for bit, as a
-    lookup in the normalized spectrum. Each expression is compiled by
+    lookup in the normalized spectrum. A caller that already holds that
+    factor, as stats does, passes it instead. Each expression is compiled by
     fuzzy.compile_expr(), so the result equals fuzzy.eval_expr() on the
     same term values bit for bit.
 
@@ -68,8 +69,9 @@ def compile_rules(rb: RuleBase):
                          fn.l, fn.h, fn.h - fn.l))
         exprs.append((cr.code, compile_expr(cr.expr, index)))
 
-    def classify_spectrum(s: Spectrum) -> MembershipVector:
-        factor = scale_factor(s, excluded, eps)
+    def classify_spectrum(s: Spectrum, factor: Optional[float] = None) -> MembershipVector:
+        if factor is None:
+            factor = scale_factor(s, excluded, eps)
         mzs, points = s.mzs, s.points
         p = []
         for mz in slots:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
+import errno
 import glob
 import math
 import os
@@ -12,13 +13,14 @@ import shutil
 import sys
 import tempfile
 from collections import Counter
+from itertools import chain
 from pathlib import Path
 
 from . import pixmap, spatial, stats
 from .classify import UNK, classify_batch, compile_rules, harden, write_batch_csv
 from .errors import SpectraClassError
 from .rulebase import builtin_basalt, parse_rulebase, validate
-from .spectrum import normalize, parse_spectrum
+from .spectrum import parse_spectrum, scale_factor
 
 EX_OK = 0
 EX_FATAL = 1
@@ -112,17 +114,17 @@ def cmd_stats(args) -> int:
     by_label = args.group_by == "label"
 
     def read(text, id):
-        """The peak list to bin and, by label, the label classify gives the raw spectrum."""
+        """The consolidated normalized peaks of one file and, by label, the label classify gives it."""
         raw = parse_spectrum(text, id=id)
-        label = harden(classify_spectrum(raw), rb.options.nu).label if by_label else None
-        return stats.peak_list(normalize(raw, excluded, eps), eps), label
+        factor = scale_factor(raw, excluded, eps)
+        label = harden(classify_spectrum(raw, factor), rb.options.nu).label if by_label else None
+        return stats.peak_list(raw, eps, factor), label
 
-    groups: dict = {}
+    groups: dict = {}  # group key -> the peaks of its spectra, in one list
+    sizes = Counter()  # group key -> its number of spectra
     group_dirs: dict = {}  # directory group key -> the directory it names
-    peak_lists = []
     for path in inputs:
         peaks, key = _read_input(path, lambda text: read(text, Path(path).stem))
-        peak_lists.append(peaks)
         if not by_label:
             parent = Path(path).parent
             # "." and ".." name no directory; abspath gives the one they mean.
@@ -132,14 +134,18 @@ def cmd_stats(args) -> int:
                 raise SpectraClassError(
                     f"directories {str(first)!r} and {str(parent)!r} "
                     f"share the group name {key!r}")
-        groups.setdefault(key, []).append(peaks)
+        groups.setdefault(key, []).extend(peaks)
+        sizes[key] += 1
 
-    ensemble_db = stats.build_statdb(peak_lists, eps)
+    for peaks in groups.values():
+        peaks.sort()
+    # A few sorted runs, one per group, merge faster than one run per spectrum.
+    ensemble_db = stats.build_statdb(chain.from_iterable(groups.values()), len(inputs), eps)
     out_dir = Path(args.out) if args.out else None
     if out_dir:
         out_dir.mkdir(parents=True, exist_ok=True)
     for key in sorted(groups):
-        db = stats.build_statdb(groups[key], eps)
+        db = stats.build_statdb(groups[key], sizes[key], eps)
         rows = stats.class_vs_ensemble_report(db, ensemble_db, mode=args.mode)
         print(f"== {key} ({db.n_spectra} spectra) vs ensemble ({ensemble_db.n_spectra}) ==")
         print(stats.render_histogram(rows))
@@ -149,10 +155,23 @@ def cmd_stats(args) -> int:
     return EX_OK
 
 
-def _read_input(path, parse):
-    """``parse`` the text of ``path``; a parse failure becomes a fatal error naming the file."""
+def _read_input(path, parse, stream=False):
+    """``parse`` the text of ``path``; a parse failure becomes a fatal error naming the file.
+
+    With ``stream``, ``parse`` gets the open text file instead, decoded and
+    newline-translated as ``read_text`` does. An error raised before the
+    file's end then gives way to the error ``read_text`` would have raised
+    first, on a bad byte anywhere in the file.
+    """
     try:
-        return parse(Path(path).read_text(encoding="utf-8"))
+        if not stream:
+            return parse(Path(path).read_text(encoding="utf-8"))
+        with Path(path).open(encoding="utf-8") as f:
+            try:
+                return parse(f)
+            except (ValueError, SpectraClassError, OSError):
+                Path(path).read_text(encoding="utf-8")
+                raise
     except (ValueError, SpectraClassError) as exc:
         raise SpectraClassError(f"{path}: {exc}") from None
 
@@ -170,27 +189,56 @@ def cmd_map(args) -> int:
             palette_error = exc  # a grid error is reported first, as if the palette were read after it
     with contextlib.ExitStack() as stack:
         files, n_assigned = _read_input(
-            args.input, lambda text: _stream_maps(text, args, palette, stack))
+            args.input, lambda f: _stream_maps(f, args, palette, stack), stream=True)
         if palette_error is not None:
             raise palette_error
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
-        for name, tmp in files.items():
-            tmp.seek(0)
-            with open(out_dir / name, "wb") as f:
-                shutil.copyfileobj(tmp, f)
+        _publish(out_dir, files)
     print(f"wrote maps to {out_dir} ({n_assigned} neighbor-assigned spots)")
     return EX_OK
 
 
-def _stream_maps(text, args, palette, stack):
-    """Write every map of grid ``text`` into unnamed temporary files, one grid row at a time.
+def _publish(out_dir, files):
+    """Copy each ``{name: temporary file}`` into ``out_dir``: all of them, or on an error none.
+
+    Each copy is staged beside its target and renamed over it only once
+    every target is checked and every copy made; an error removes the
+    staged copies. A target that cannot be written is reported as opening
+    it would report it.
+    """
+    staged = []
+    try:
+        for name, tmp in files.items():
+            target = out_dir / name
+            if target.is_dir():
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(target))
+            part = target.with_name(f".{target.name}.part")
+            try:
+                f = open(part, "wb")
+            except OSError as exc:
+                raise OSError(exc.errno, exc.strerror, str(target)) from None
+            staged.append((part, target))
+            with f:
+                tmp.seek(0)
+                shutil.copyfileobj(tmp, f)
+        for part, target in staged:
+            os.replace(part, target)
+    except BaseException:
+        for part, _ in staged:
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(part)
+        raise
+
+
+def _stream_maps(source, args, palette, stack):
+    """Write every map of the grid ``source`` into unnamed temporary files, one grid row at a time.
 
     Returns ``({output name: temporary file}, neighbor-assigned spot
     count)``. The files are entered into ``stack``; they hold good maps
     only if this returns, since the grid is checked to its last line.
     """
-    rows = spatial.read_grid_rows(text)
+    rows = spatial.read_grid_rows(source)
     topology, height, width, codes = next(rows)
     if args.topology:
         topology = {"rect": spatial.RECTANGULAR, "hex": spatial.HEXAGONAL}[args.topology]

@@ -6,6 +6,7 @@ import csv
 import math
 import re
 from dataclasses import dataclass
+from functools import partial
 from itertools import chain
 from typing import Optional
 
@@ -207,17 +208,27 @@ _HEADER_RE = re.compile(r"#\s*(topology|rows|cols)\s*:\s*(\S+)")
 _CHUNK = 1 << 16  # characters of grid text split into lines at a time
 
 
-def _lines(text: str):
-    """The lines of ``text`` as ``text.splitlines()`` gives them, split a chunk at a time.
+def _lines(source):
+    """The lines of ``source``, a str or an open text file, as ``splitlines()`` gives them.
 
-    Each chunk ends just after a "\n", so no line, and no "\r\n", spans two chunks.
+    The text is taken ``_CHUNK`` characters at a time. Each piece is cut
+    just after its last "\n" and the rest carried into the next, so no
+    line, and no "\r\n", is split.
     """
-    start = 0
-    while start < len(text):
-        end = text.find("\n", start + _CHUNK)
-        end = len(text) if end < 0 else end + 1
-        yield from text[start:end].splitlines()
-        start = end
+    if isinstance(source, str):
+        pieces = (source[i:i + _CHUNK] for i in range(0, len(source), _CHUNK))
+    else:
+        pieces = iter(partial(source.read, _CHUNK), "")
+    rest = []
+    for piece in pieces:
+        cut = piece.rfind("\n") + 1
+        if cut:
+            rest.append(piece[:cut])
+            yield from "".join(rest).splitlines()
+            rest = [piece[cut:]]
+        else:
+            rest.append(piece)
+    yield from "".join(rest).splitlines()
 
 
 def _quoted_fields(line: str):
@@ -262,14 +273,15 @@ def _grid_shape(meta: dict, has_columns: bool, error):
     return {"rect": RECTANGULAR, "hex": HEXAGONAL}.get(meta["topology"], meta["topology"]), rows, cols
 
 
-def read_grid_rows(text: str):
+def read_grid_rows(source):
     """Parse a grid file lazily: yield its shape, then its rows of spots.
 
-    The first item is ``(topology, rows, cols, class_codes)``, yielded once
-    the three headers and the column line are read; each later item is
-    one grid row, a list of ``cols`` Spots, in row-major order. Headers
-    may appear anywhere in the file, each once; spots read before the
-    last of them are held until it is read.
+    ``source`` is the file's text or the open text file, which _lines()
+    reads a piece at a time. The first item is ``(topology, rows, cols,
+    class_codes)``, yielded once the three headers and the column line
+    are read; each later item is one grid row, a list of ``cols`` Spots,
+    in row-major order. Headers may appear anywhere in the file, each
+    once; spots read before the last of them are held until it is read.
 
     A repeated header is raised at its line. Every other error is raised
     after the last line, as if every header came first: a missing,
@@ -283,7 +295,7 @@ def read_grid_rows(text: str):
     cols = None  # set once the shape is yielded
     held = []  # spots not yet yielded
     n = 0
-    for lineno, raw in enumerate(_lines(text), 1):
+    for lineno, raw in enumerate(_lines(source), 1):
         line = raw.strip()
         if not line:
             continue

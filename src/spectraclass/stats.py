@@ -10,7 +10,6 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import chain
 
 from .classify import fmt
 from .errors import EmptyEnsemble, IncompatibleDBs
@@ -47,42 +46,45 @@ class StatDB:
     eps: float
 
 
-def peak_list(s: Spectrum, eps: float):
-    """Consolidated peak list: points closer than eps collapse to the largest.
+def peak_list(s: Spectrum, eps: float, factor: float = 1.0):
+    """Consolidated peak list, scaled: points closer than eps collapse to the largest.
 
-    Clusters chain on the gap between consecutive m/z values; the
-    comparison is closed, so two peaks exactly eps apart merge. On equal
-    abundances the first point is kept. The list holds the spectrum's own
-    point tuples.
+    Each abundance is multiplied by ``factor`` as normalize() does, and
+    consolidated on that scaled value, so with scale_factor()'s factor the
+    list is the normalized spectrum's, bit for bit. Clusters chain on the
+    gap between consecutive m/z values; the comparison is closed, so two
+    peaks exactly eps apart merge. On equal abundances the first point is
+    kept.
     """
     out = []
     prev_mz = None
     kept = 0.0  # abundance of out[-1]
-    for p in s.points:
-        mz, ab = p
+    for mz, ab in s.points:
+        ab *= factor
         if prev_mz is not None and mz - prev_mz <= eps:
             if ab > kept:
-                out[-1] = p
+                out[-1] = (mz, ab)
                 kept = ab
         else:
-            out.append(p)
+            out.append((mz, ab))
             kept = ab
         prev_mz = mz
     return out
 
 
-def build_statdb(peak_lists, eps: float) -> StatDB:
-    """Accumulate the peak_list() of each spectrum into m/z bins.
+def build_statdb(peaks, n_spectra: int, eps: float) -> StatDB:
+    """Accumulate consolidated peaks into m/z bins.
 
-    Binning walks the globally sorted peak stream and opens a new bin
-    whenever the incoming m/z exceeds the current bin's running mean by
-    more than eps. Sorting first makes the result independent of the
-    input spectrum order.
+    ``peaks`` is one iterable of the peak_list() peaks of ``n_spectra``
+    spectra. Binning walks the sorted peaks and opens a new bin whenever
+    the incoming m/z exceeds the current bin's running mean by more than
+    eps. Sorting first makes the result independent of the input order;
+    peaks given as a few sorted runs, such as sorted lists one after
+    another, sort fastest.
     """
-    peak_lists = list(peak_lists)
-    if not peak_lists:
+    if n_spectra < 1:
         raise EmptyEnsemble("no spectra to accumulate")
-    peaks = sorted(chain.from_iterable(peak_lists))
+    peaks = sorted(peaks)
 
     # The open bin lives in locals and becomes a StatBin when it closes;
     # its center is phi_sum / c, the running mean of its m/z values.
@@ -105,7 +107,7 @@ def build_statdb(peak_lists, eps: float) -> StatDB:
             phi_sum, c, a_tot, a_tot2, a_max, a_min = mz, 1, ab, ab * ab, ab, ab
     if c:
         bins.append(StatBin(phi_sum / c, c, a_tot, a_tot2, a_max, a_min))
-    return StatDB(bins=bins, n_spectra=len(peak_lists), eps=eps)
+    return StatDB(bins=bins, n_spectra=n_spectra, eps=eps)
 
 
 def full_presence_bins(db: StatDB):

@@ -153,6 +153,11 @@ def test_criterion_5_spatial_smoothing():
     _report(5, "3x3 smoothing oracle + confident spots stable over 1e3 grids", t0, 5.0)
 
 
+def statdb(spectra, eps):
+    """build_statdb() over the peak_list() of each spectrum, as stats consolidates them."""
+    return build_statdb([p for s in spectra for p in peak_list(s, eps)], len(spectra), eps)
+
+
 def brute_force_statdb_fields(spectra, eps):
     """Independent accumulation: explicit consolidation and bin walk."""
     peaks = []
@@ -197,7 +202,7 @@ def test_criterion_6_stats_oracle():
         pts = sorted({round(rng.uniform(20, 60), 3): round(rng.uniform(1, 100), 2)
                       for _ in range(20)}.items())
         spectra.append(Spectrum(tuple(pts)))
-    db = build_statdb([peak_list(s, 0.05) for s in spectra], 0.05)
+    db = statdb(spectra, 0.05)
     expected = brute_force_statdb_fields(spectra, 0.05)
     assert len(db.bins) == len(expected)
     for b, e in zip(db.bins, expected):
@@ -208,7 +213,7 @@ def test_criterion_6_stats_oracle():
     for _ in range(100):
         shuffled = spectra[:]
         rng.shuffle(shuffled)
-        other = build_statdb([peak_list(s, 0.05) for s in shuffled], 0.05)
+        other = statdb(shuffled, 0.05)
         assert [(b.phi, b.c, b.a_tot, b.a_tot2, b.a_max, b.a_min) for b in other.bins] == \
                [(b.phi, b.c, b.a_tot, b.a_tot2, b.a_max, b.a_min) for b in db.bins]
     _report(6, "stat DB matches brute-force accumulation; order-invariant", t0, 5.0)
@@ -223,8 +228,8 @@ def test_criterion_7_key_ion_report():
         plag.append(Spectrum(tuple(sorted({**common, 26.982: 12.0, 39.95: 60.0}.items()))))
     for _ in range(9):
         others.append(Spectrum(tuple(sorted({**common, 26.982: 1.0, 39.95: 5.0}.items()))))
-    class_db = build_statdb([peak_list(s, 0.2) for s in plag], 0.2)
-    ensemble_db = build_statdb([peak_list(s, 0.2) for s in plag + others], 0.2)
+    class_db = statdb(plag, 0.2)
+    ensemble_db = statdb(plag + others, 0.2)
     rows = class_vs_ensemble_report(class_db, ensemble_db)
     full = [r for r in rows if r.count == class_db.n_spectra]
     above = {round(r.phi, 3) for r in full if r.ratio > 2}

@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import errno
 import io
 import os
 import random
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import spectrum_csv
-from spectraclass import rulebase, stats
+from spectraclass import classify, cli, rulebase, spectrum, stats
 from spectraclass.cli import EX_FATAL, EX_OK, EX_PARTIAL, EX_USAGE, load_rules, main
 from spectraclass.rulebase import builtin_basalt, serialize_rulebase
 from spectraclass.stats import peak_list
@@ -208,11 +209,25 @@ class TestStatsCmd:
     def test_each_file_consolidated_once(self, spectra_dir, monkeypatch, capsys, group_by):
         calls = []
 
-        def counting_peak_list(s, eps):
+        def counting_peak_list(s, eps, factor):
             calls.append(s.id)
-            return peak_list(s, eps)
+            return peak_list(s, eps, factor)
 
         monkeypatch.setattr(stats, "peak_list", counting_peak_list)
+        assert main(["stats", str(spectra_dir / "*.csv"), "--group-by", group_by]) == EX_OK
+        assert sorted(calls) == sorted(FIXTURES)
+
+    @pytest.mark.parametrize("group_by", ["label", "directory"])
+    def test_one_scale_factor_per_file(self, spectra_dir, monkeypatch, capsys, group_by):
+        calls = []
+        scale_factor = spectrum.scale_factor
+
+        def counting_scale_factor(s, *args):
+            calls.append(s.id)
+            return scale_factor(s, *args)
+
+        for module in (spectrum, classify, cli):  # wherever it is looked up
+            monkeypatch.setattr(module, "scale_factor", counting_scale_factor, raising=False)
         assert main(["stats", str(spectra_dir / "*.csv"), "--group-by", group_by]) == EX_OK
         assert sorted(calls) == sorted(FIXTURES)
 
@@ -549,20 +564,82 @@ class TestMapStreaming:
         labels = [line.split(",")[2] for line in (tmp_path / "m" / "pre.csv").read_text().splitlines()]
         assert labels == ["label", "ILM", "AGT"]
 
-    def test_heap_bounded_by_a_few_rows(self, tmp_path, monkeypatch):
-        # The file's text is in memory before tracing starts, so the peak is the row loop's.
-        texts = {f"{rows}.csv": map_grid_text(rows, 40) for rows in (100, 1000)}
-        monkeypatch.setattr(Path, "read_text", lambda self, encoding=None: texts[self.name])
-        assert main(["map", "100.csv", "--out", str(tmp_path / "warm")]) == EX_OK
+    def test_heap_bounded_by_a_few_rows(self, tmp_path):
+        grids = []
+        for rows in (100, 1000):
+            grids.append(tmp_path / f"{rows}.csv")
+            grids[-1].write_text(map_grid_text(rows, 40))
+        assert main(["map", str(grids[0]), "--out", str(tmp_path / "warm")]) == EX_OK
         peaks = []
-        for name in texts:
+        for grid in grids:
             tracemalloc.start()
             try:
-                assert main(["map", name, "--out", str(tmp_path / name)]) == EX_OK
+                assert main(["map", str(grid), "--out", str(tmp_path / grid.stem)]) == EX_OK
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
         assert peaks[1] <= 1.5 * peaks[0], peaks
+
+    def test_peak_does_not_grow_with_the_grid_text(self, tmp_path):
+        texts = [map_grid_text(rows, 40) for rows in (100, 400)]
+        peaks = []
+        for k, text in enumerate(texts):
+            grid = tmp_path / f"{k}.csv"
+            grid.write_text(text)
+            if not k:
+                assert main(["map", str(grid), "--out", str(tmp_path / "warm")]) == EX_OK
+            tracemalloc.start()
+            try:
+                assert main(["map", str(grid), "--out", str(tmp_path / str(k))]) == EX_OK
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] - peaks[0] < len(texts[1]), peaks
+
+    def test_missing_grid_keeps_the_os_message(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        self._fatal(["map", "./missing.csv", "--out", "m"], capsys,
+                    "[Errno 2] No such file or directory: 'missing.csv'")
+
+    @pytest.mark.parametrize("repeat_header", [False, True])
+    def test_bad_byte_past_the_first_chunk_reported_as_read_text_does(
+            self, tmp_path, capsys, repeat_header):
+        text = map_grid_text(100, 40)  # about 125,000 characters
+        if repeat_header:  # raised at its line, but a bad byte anywhere comes first
+            text = text.replace("# cols: 40\n", "# cols: 40\n# rows: 100\n")
+        data = text.encode()
+        cut = data.index(b"\n", 100_000) + 1
+        grid = tmp_path / "grid.csv"
+        grid.write_bytes(data[:cut] + b"s\xff" + data[cut:])
+        with pytest.raises(UnicodeDecodeError) as decode_error:
+            grid.read_text(encoding="utf-8")
+        assert f"position {cut + 1}:" in str(decode_error.value)  # in the file, not in a piece
+        self._fatal(["map", str(grid), "--out", str(tmp_path / "m")], capsys,
+                    f"{grid}: {decode_error.value}")
+        assert not (tmp_path / "m").exists()
+
+    def test_out_all_or_nothing(self, tmp_path, capsys):
+        grid = grid_file(tmp_path)
+        out = tmp_path / "o"
+        (out / "post.csv").mkdir(parents=True)
+        (out / "pre.csv").write_bytes(b"old\r\n")
+        self._fatal(["map", str(grid), "--out", str(out)], capsys,
+                    f"[Errno 21] Is a directory: '{out}/post.csv'")
+        assert sorted(p.name for p in out.iterdir()) == ["post.csv", "pre.csv"]
+        assert (out / "pre.csv").read_bytes() == b"old\r\n"
+
+    def test_unwritable_target_named(self, tmp_path, capsys, monkeypatch):
+        def refusing_open(file, *args, **kwargs):
+            if str(file).endswith(".part"):
+                raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), str(file))
+            return open(file, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "open", refusing_open, raising=False)
+        out = tmp_path / "o"
+        out.mkdir()
+        self._fatal(["map", str(grid_file(tmp_path)), "--out", str(out)], capsys,
+                    f"[Errno 13] Permission denied: '{out}/pre.csv'")
+        assert list(out.iterdir()) == []
 
 
 class TestValidateCmd:

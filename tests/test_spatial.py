@@ -361,6 +361,23 @@ class TestChunkedLines:
             with mock.patch.object(spatial, "_CHUNK", chunk):
                 assert list(spatial._lines(t)) == t.splitlines()
 
+    @pytest.mark.parametrize("data", [
+        b"ab\r\ncd\r\nef\r\n\r\n",
+        b"ab\rcd\r\n\ref\r",  # lone carriage returns
+        b"ab\x0ccd\nef\x0c\n",
+        "ab\u2028cd\n\u2028ef\u2028".encode(),  # three bytes in UTF-8
+        b"ab\ncd\r\nno final newline",
+    ], ids=["crlf", "lone-cr", "form-feed", "line-separator", "no-final-newline"])
+    def test_stream_lines_equal_read_text_splitlines(self, tmp_path, data):
+        path = tmp_path / "grid.csv"
+        path.write_bytes(data)
+        expected = path.read_text(encoding="utf-8").splitlines()
+        for chunk in range(1, 9):
+            for buffer in (1, 2, 3, 8192):  # bytes decoded at a time
+                with path.open(encoding="utf-8") as f, mock.patch.object(spatial, "_CHUNK", chunk):
+                    f._CHUNK_SIZE = buffer
+                    assert list(spatial._lines(f)) == expected, (chunk, buffer)
+
 
 # Positions, spellings and ids that a grid file may hold.
 positions = st.sampled_from(["", "0", "-0.0", "0.5", "3", "1e-07", "12345678.9"])

@@ -19,7 +19,7 @@ from spectraclass.stats import (
 
 def statdb(spectra, eps):
     """build_statdb() over the peak_list() of each spectrum, as stats consolidates them."""
-    return build_statdb([peak_list(s, eps) for s in spectra], eps)
+    return build_statdb([p for s in spectra for p in peak_list(s, eps)], len(spectra), eps)
 
 
 class TestPeakList:
@@ -70,7 +70,7 @@ class TestBuildStatDB:
 
     def test_empty_input(self):
         with pytest.raises(EmptyEnsemble):
-            build_statdb([], 0.02)
+            build_statdb([], 0, 0.02)
 
     def test_order_invariance(self):
         rng = random.Random(5)
@@ -227,19 +227,22 @@ def exact(x, y):
 EXACT_EPS_GAP = [Spectrum(((20.0, 1.0), (20.25, 2.0))), Spectrum(((20.5, 3.0),))]
 SIGNED_ZERO_TIES = [Spectrum(((20.0, -0.0), (21.0, 0.0))), Spectrum(((20.0, 0.0), (21.0, -0.0)))]
 EQUAL_ABUNDANCES = [Spectrum(((20.0, 5.0), (20.125, 5.0), (20.25, 5.0)))]
+# Two abundances that differ, but not once scaled by 1e-310 (a subnormal product).
+EQUAL_ONCE_SCALED = Spectrum(((20.0, 1.0), (20.125, 1.0000000000000002)))
+STAT_FACTOR = st.one_of(st.sampled_from([1.0, 0.5, 100 / 3, 1e-310]), st.floats(1e-3, 1e3))
 
 
 class TestAgainstFirstVersion:
     """peak_list and build_statdb give what their first versions gave."""
 
-    @given(stat_spectrum(30), STAT_EPS)
-    @example(EXACT_EPS_GAP[0], 0.25)
-    @example(EQUAL_ABUNDANCES[0], 0.125)
-    def test_peak_list(self, s, eps):
-        out = peak_list(s, eps)
-        assert exact(out, old_peak_list(s, eps))
-        own = {id(p) for p in s.points}
-        assert all(id(p) in own for p in out)
+    @given(stat_spectrum(30), STAT_EPS, STAT_FACTOR)
+    @example(EXACT_EPS_GAP[0], 0.25, 1.0)
+    @example(EQUAL_ABUNDANCES[0], 0.125, 1.0)
+    @example(EQUAL_ONCE_SCALED, 0.125, 1e-310)
+    def test_peak_list(self, s, eps, factor):
+        # The first version on the spectrum scaled as normalize() scales it.
+        scaled = Spectrum._trusted(tuple((mz, ab * factor) for mz, ab in s.points))
+        assert exact(peak_list(s, eps, factor), old_peak_list(scaled, eps))
 
     @given(st.lists(stat_spectrum(), min_size=1, max_size=6), STAT_EPS)
     @example(EXACT_EPS_GAP, 0.25)
