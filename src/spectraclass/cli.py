@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import codecs
 import contextlib
 import dataclasses
 import errno
@@ -12,8 +13,8 @@ import os
 import shutil
 import sys
 import tempfile
+from array import array
 from collections import Counter
-from itertools import chain
 from pathlib import Path
 
 from . import pixmap, spatial, stats
@@ -120,11 +121,11 @@ def cmd_stats(args) -> int:
         label = harden(classify_spectrum(raw, factor), rb.options.nu).label if by_label else None
         return stats.peak_list(raw, eps, factor), label
 
-    groups: dict = {}  # group key -> the peaks of its spectra, in one list
+    groups: dict = {}  # group key -> the m/z and abundance columns of its spectra's peaks
     sizes = Counter()  # group key -> its number of spectra
     group_dirs: dict = {}  # directory group key -> the directory it names
     for path in inputs:
-        peaks, key = _read_input(path, lambda text: read(text, Path(path).stem))
+        (mzs, abundances), key = _read_input(path, lambda text: read(text, Path(path).stem))
         if not by_label:
             parent = Path(path).parent
             # "." and ".." name no directory; abspath gives the one they mean.
@@ -134,24 +135,26 @@ def cmd_stats(args) -> int:
                 raise SpectraClassError(
                     f"directories {str(first)!r} and {str(parent)!r} "
                     f"share the group name {key!r}")
-        groups.setdefault(key, []).extend(peaks)
+        columns = groups.setdefault(key, (array("d"), array("d")))
+        columns[0].fromlist(mzs)
+        columns[1].fromlist(abundances)
         sizes[key] += 1
 
-    for peaks in groups.values():
-        peaks.sort()
-    # A few sorted runs, one per group, merge faster than one run per spectrum.
-    ensemble_db = stats.build_statdb(chain.from_iterable(groups.values()), len(inputs), eps)
+    dbs, ensemble_db = stats.group_statdbs(groups, sizes, eps)
     out_dir = Path(args.out) if args.out else None
     if out_dir:
         out_dir.mkdir(parents=True, exist_ok=True)
-    for key in sorted(groups):
-        db = stats.build_statdb(groups[key], sizes[key], eps)
-        rows = stats.class_vs_ensemble_report(db, ensemble_db, mode=args.mode)
-        print(f"== {key} ({db.n_spectra} spectra) vs ensemble ({ensemble_db.n_spectra}) ==")
-        print(stats.render_histogram(rows))
+    with contextlib.ExitStack() as stack:
+        files = {}
+        for key, db in sorted(dbs.items()):
+            rows = stats.class_vs_ensemble_report(db, ensemble_db, mode=args.mode)
+            print(f"== {key} ({db.n_spectra} spectra) vs ensemble ({ensemble_db.n_spectra}) ==")
+            print(stats.render_histogram(rows))
+            if out_dir:
+                f = files[f"{key}_report.csv"] = stack.enter_context(tempfile.TemporaryFile())
+                stats.write_report_csv(rows, codecs.getwriter("utf-8")(f))
         if out_dir:
-            with open(out_dir / f"{key}_report.csv", "w", encoding="utf-8", newline="") as f:
-                stats.write_report_csv(rows, f)
+            _publish(out_dir, files)
     return EX_OK
 
 

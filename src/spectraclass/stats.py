@@ -8,7 +8,8 @@ means against ensemble means surfaces candidate key ions.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
+from array import array
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 from .classify import fmt
@@ -26,7 +27,7 @@ HISTOGRAM_CAP = 5.0
 @dataclass
 class StatBin:
     phi: float     # bin center: mean m/z of member peaks
-    c: int         # count of contributing spectra (non-zero peaks)
+    c: int         # count of member peaks (zero ones too; a spectrum may give several)
     a_tot: float   # sum of abundances
     a_tot2: float  # sum of squared abundances
     a_max: float
@@ -49,49 +50,85 @@ class StatDB:
 def peak_list(s: Spectrum, eps: float, factor: float = 1.0):
     """Consolidated peak list, scaled: points closer than eps collapse to the largest.
 
-    Each abundance is multiplied by ``factor`` as normalize() does, and
-    consolidated on that scaled value, so with scale_factor()'s factor the
-    list is the normalized spectrum's, bit for bit. Clusters chain on the
-    gap between consecutive m/z values; the comparison is closed, so two
-    peaks exactly eps apart merge. On equal abundances the first point is
-    kept.
+    Returns ``(mzs, abundances)``, two lists of equal length, ascending in
+    m/z. Each abundance is multiplied by ``factor`` as normalize() does,
+    and consolidated on that scaled value, so with scale_factor()'s factor
+    the columns are the normalized spectrum's, bit for bit. Clusters chain
+    on the gap between consecutive m/z values; the comparison is closed,
+    so two peaks exactly eps apart merge. On equal abundances the first
+    point is kept.
     """
-    out = []
+    mzs = []
+    abundances = []
     prev_mz = None
-    kept = 0.0  # abundance of out[-1]
+    kept = 0.0  # abundances[-1]
     for mz, ab in s.points:
         ab *= factor
         if prev_mz is not None and mz - prev_mz <= eps:
             if ab > kept:
-                out[-1] = (mz, ab)
+                mzs[-1] = mz
+                abundances[-1] = ab
                 kept = ab
         else:
-            out.append((mz, ab))
+            mzs.append(mz)
+            abundances.append(ab)
             kept = ab
         prev_mz = mz
-    return out
+    return mzs, abundances
 
 
-def build_statdb(peaks, n_spectra: int, eps: float) -> StatDB:
+def merged_peaks(columns, batch: int = 256):
+    """The ``(mz, abundance)`` peaks of several peak columns, ascending.
+
+    ``columns`` is a list of ``(mzs, abundances)`` sequence pairs, each
+    ascending by ``(mz, abundance)``, as peak_list() returns them. Equal
+    peaks come in the order of their columns, as from a stable sort of all
+    peaks (or ``heapq.merge``), so the merge is the same bit for bit,
+    signed zeros included. Peaks are paired and sorted one batch at a
+    time: every peak not yet given whose m/z is at most a bound, the
+    lowest over the columns of the m/z ``batch`` peaks ahead (or of the
+    column's last). So no list of every peak is built, and the merging is
+    done by ``list.sort`` in C, not one peak at a time in Python.
+    """
+    if len(columns) == 1:  # already in order
+        yield from zip(*columns[0])
+        return
+    starts = [0] * len(columns)
+    while True:
+        bound = min((mzs[min(start + batch, len(mzs)) - 1]
+                     for (mzs, _), start in zip(columns, starts) if start < len(mzs)),
+                    default=None)
+        if bound is None:
+            return
+        peaks = []
+        for i, (mzs, abundances) in enumerate(columns):
+            start = starts[i]
+            end = starts[i] = bisect_right(mzs, bound, start)
+            peaks += zip(mzs[start:end], abundances[start:end])
+        peaks.sort()
+        yield from peaks
+
+
+def build_statdb(columns, n_spectra: int, eps: float) -> StatDB:
     """Accumulate consolidated peaks into m/z bins.
 
-    ``peaks`` is one iterable of the peak_list() peaks of ``n_spectra``
-    spectra. Binning walks the sorted peaks and opens a new bin whenever
-    the incoming m/z exceeds the current bin's running mean by more than
-    eps. Sorting first makes the result independent of the input order;
-    peaks given as a few sorted runs, such as sorted lists one after
-    another, sort fastest.
+    ``columns`` holds the peaks of ``n_spectra`` spectra as ``(mzs,
+    abundances)`` column pairs, each ascending by ``(mz, abundance)``: one
+    peak_list() output per spectrum or, as ``stats`` passes them, one
+    sorted pair per group. Binning walks merged_peaks(columns) and opens
+    a new bin whenever the incoming m/z exceeds the current bin's running
+    mean by more than eps. So the bins compare equal whatever the order of
+    the columns.
     """
     if n_spectra < 1:
         raise EmptyEnsemble("no spectra to accumulate")
-    peaks = sorted(peaks)
 
     # The open bin lives in locals and becomes a StatBin when it closes;
     # its center is phi_sum / c, the running mean of its m/z values.
     bins = []
     c = 0
     phi_sum = a_tot = a_tot2 = a_max = a_min = 0.0
-    for mz, ab in peaks:
+    for mz, ab in merged_peaks(columns):
         if c and mz - phi_sum / c <= eps:
             phi_sum += mz
             c += 1
@@ -108,6 +145,32 @@ def build_statdb(peaks, n_spectra: int, eps: float) -> StatDB:
     if c:
         bins.append(StatBin(phi_sum / c, c, a_tot, a_tot2, a_max, a_min))
     return StatDB(bins=bins, n_spectra=n_spectra, eps=eps)
+
+
+def group_statdbs(groups: dict, sizes, eps: float):
+    """Bin each group's peaks, then all of them: ``({key: StatDB}, ensemble StatDB)``.
+
+    ``groups`` maps each group key to its spectra's peaks as two
+    ``array('d')`` columns, m/z and abundance, in any order; ``sizes``
+    maps the key to its number of spectra. The groups are taken in turn:
+    their columns become ``(mz, abundance)`` pairs, sorted, and stored
+    back into ``groups`` as sorted columns, which are then binned. So the
+    pairs of one group at most exist at any moment, and those of the
+    largest group set the peak: with few groups, as under ``stats
+    --group-by label``, that can come near the pairs of every peak. The
+    ensemble is binned from the merge of the sorted columns in
+    ``groups``' order, which gives the bins, bit for bit, of sorting every
+    peak in one list.
+    """
+    dbs = {}
+    for key in groups:
+        peaks = sorted(zip(*groups[key]))
+        groups[key] = (array("d", [mz for mz, _ in peaks]),
+                       array("d", [ab for _, ab in peaks]))
+        del peaks  # before the next group's pairs are built
+        dbs[key] = build_statdb([groups[key]], sizes[key], eps)
+    ensemble = build_statdb(list(groups.values()), sum(sizes[key] for key in groups), eps)
+    return dbs, ensemble
 
 
 def full_presence_bins(db: StatDB):

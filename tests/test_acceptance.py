@@ -155,7 +155,7 @@ def test_criterion_5_spatial_smoothing():
 
 def statdb(spectra, eps):
     """build_statdb() over the peak_list() of each spectrum, as stats consolidates them."""
-    return build_statdb([p for s in spectra for p in peak_list(s, eps)], len(spectra), eps)
+    return build_statdb([peak_list(s, eps) for s in spectra], len(spectra), eps)
 
 
 def brute_force_statdb_fields(spectra, eps):

@@ -280,6 +280,63 @@ class TestStatsCmd:
         assert sorted(p.name for p in out.iterdir()) == ["spectra_report.csv"]
         assert "== spectra (2 spectra) vs ensemble (2) ==" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("taken", ["a", "b"])
+    def test_out_all_or_nothing(self, tmp_path, capsys, taken):
+        # Every group's histogram is printed before any report is written.
+        for group, name in (("a", "x"), ("b", "y")):
+            (tmp_path / "in" / group).mkdir(parents=True)
+            (tmp_path / "in" / group / f"{name}.csv").write_text("10,5\n55.954,40\n")
+        rep = tmp_path / "rep"
+        old = "b" if taken == "a" else "a"
+        (rep / f"{taken}_report.csv").mkdir(parents=True)
+        (rep / f"{old}_report.csv").write_bytes(b"old\r\n")
+        code = main(["stats", str(tmp_path / "in" / "*" / "*.csv"),
+                     "--group-by", "directory", "--out", str(rep)])
+        assert code == EX_FATAL
+        captured = capsys.readouterr()
+        assert captured.err == \
+            f"spectraclass: error: [Errno 21] Is a directory: '{rep}/{taken}_report.csv'\n"
+        assert [line for line in captured.out.splitlines() if line.startswith("==")] == \
+            ["== a (1 spectra) vs ensemble (2) ==", "== b (1 spectra) vs ensemble (2) =="]
+        assert sorted(p.name for p in rep.iterdir()) == ["a_report.csv", "b_report.csv"]
+        assert (rep / f"{old}_report.csv").read_bytes() == b"old\r\n"
+
+    def test_peak_grows_by_the_peak_columns(self, tmp_path, capsys):
+        # A consolidated peak is held as 16 bytes of float columns; only one
+        # group's peaks at a time become (mz, abundance) pairs of about 112.
+        n_dirs, n_peaks = 8, 250
+        peaks = []
+        for k, per_dir in enumerate((10, 20)):
+            inputs = stats_corpus(tmp_path / str(k), n_dirs, per_dir, n_peaks)
+            argv = ["stats", str(inputs), "--group-by", "directory"]
+            if not k:
+                assert main(argv) == EX_OK
+            capsys.readouterr()
+            tracemalloc.start()
+            try:
+                assert main(argv) == EX_OK
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        extra_peaks = n_dirs * 10 * n_peaks
+        assert (peaks[1] - peaks[0]) / extra_peaks < 48, peaks
+
+
+def stats_corpus(root, n_dirs, per_dir, n_peaks, seed=0):
+    """The glob of ``n_dirs`` directories of ``per_dir`` spectra with ``n_peaks`` peaks each.
+
+    Peaks are 0.5 apart, so none consolidate, and every spectrum has one
+    near each m/z of the same grid, so the bins do not grow with per_dir.
+    """
+    rng = random.Random(seed)
+    for d in range(n_dirs):
+        (root / f"d{d}").mkdir(parents=True)
+        for i in range(per_dir):
+            rows = [f"{20 + 0.5 * k + rng.uniform(-0.01, 0.01)!r},{rng.uniform(1, 100)!r}\n"
+                    for k in range(n_peaks)]
+            (root / f"d{d}" / f"s{i}.csv").write_text("".join(rows))
+    return root / "*" / "*.csv"
+
 
 GRID = """\
 # topology: rectangular

@@ -1,5 +1,6 @@
 import math
 import random
+from array import array
 
 import pytest
 from hypothesis import example, given, strategies as st
@@ -13,31 +14,33 @@ from spectraclass.stats import (
     build_statdb,
     class_vs_ensemble_report,
     full_presence_bins,
+    group_statdbs,
+    merged_peaks,
     peak_list,
 )
 
 
 def statdb(spectra, eps):
     """build_statdb() over the peak_list() of each spectrum, as stats consolidates them."""
-    return build_statdb([p for s in spectra for p in peak_list(s, eps)], len(spectra), eps)
+    return build_statdb([peak_list(s, eps) for s in spectra], len(spectra), eps)
 
 
 class TestPeakList:
     def test_consolidation(self):
         s = Spectrum(((26.98, 5.0), (26.99, 7.0), (55.95, 40.0)))
-        assert peak_list(s, 0.02) == [(26.99, 7.0), (55.95, 40.0)]
+        assert peak_list(s, 0.02) == ([26.99, 55.95], [7.0, 40.0])
 
     def test_single_point(self):
         s = Spectrum(((26.98, 5.0),))
-        assert peak_list(s, 0.02) == [(26.98, 5.0)]
+        assert peak_list(s, 0.02) == ([26.98], [5.0])
 
     def test_exactly_eps_apart_merges(self):
         s = Spectrum(((26.98, 5.0), (27.00, 7.0)))
-        assert peak_list(s, 0.02) == [(27.00, 7.0)]
+        assert peak_list(s, 0.02) == ([27.00], [7.0])
 
     def test_beyond_eps_kept(self):
         s = Spectrum(((26.98, 5.0), (27.01, 7.0)))
-        assert peak_list(s, 0.02) == [(26.98, 5.0), (27.01, 7.0)]
+        assert peak_list(s, 0.02) == ([26.98, 27.01], [5.0, 7.0])
 
 
 class TestBuildStatDB:
@@ -224,12 +227,39 @@ def exact(x, y):
     return x == y and repr(x) == repr(y)
 
 
+def assert_exact_db(db, ref):
+    """``db`` and ``ref`` hold the same bins, field for field, as exact() compares them."""
+    assert (db.n_spectra, db.eps) == (ref.n_spectra, ref.eps)
+    assert len(db.bins) == len(ref.bins)
+    for b, r in zip(db.bins, ref.bins):
+        for name in ("phi", "c", "a_tot", "a_tot2", "a_max", "a_min"):
+            assert exact(getattr(b, name), getattr(r, name)), name
+
+
 EXACT_EPS_GAP = [Spectrum(((20.0, 1.0), (20.25, 2.0))), Spectrum(((20.5, 3.0),))]
 SIGNED_ZERO_TIES = [Spectrum(((20.0, -0.0), (21.0, 0.0))), Spectrum(((20.0, 0.0), (21.0, -0.0)))]
 EQUAL_ABUNDANCES = [Spectrum(((20.0, 5.0), (20.125, 5.0), (20.25, 5.0)))]
+# One m/z in two groups with different abundances, and a tie of signed zeros.
+EQUAL_MZ_ACROSS_GROUPS = [Spectrum(((20.0, 3.0), (21.0, -0.0))),
+                          Spectrum(((20.0, 1.0), (21.0, 0.0)))]
 # Two abundances that differ, but not once scaled by 1e-310 (a subnormal product).
 EQUAL_ONCE_SCALED = Spectrum(((20.0, 1.0), (20.125, 1.0000000000000002)))
 STAT_FACTOR = st.one_of(st.sampled_from([1.0, 0.5, 100 / 3, 1e-310]), st.floats(1e-3, 1e3))
+
+
+def peak_columns(max_size=12):
+    """(mzs, abundances) columns ascending by (mz, abundance); m/z repeat, zeros tie."""
+    peaks = st.lists(st.tuples(GRID_MZ, STAT_ABUNDANCE), max_size=max_size).map(sorted)
+    return peaks.map(lambda ps: ([mz for mz, _ in ps], [ab for _, ab in ps]))
+
+
+class TestMergedPeaks:
+    @given(st.lists(peak_columns(), max_size=5), st.integers(1, 4))
+    @example([([20.0, 20.0, 20.0], [-0.0, 0.0, 1.0]), ([20.0, 20.0], [0.0, -0.0])], 1)
+    def test_a_stable_sort_of_every_peak(self, columns, batch):
+        # Batches of one to four peaks a column cross runs of equal m/z.
+        every_peak = [p for mzs, abundances in columns for p in zip(mzs, abundances)]
+        assert exact(list(merged_peaks(columns, batch)), sorted(every_peak))
 
 
 class TestAgainstFirstVersion:
@@ -242,19 +272,39 @@ class TestAgainstFirstVersion:
     def test_peak_list(self, s, eps, factor):
         # The first version on the spectrum scaled as normalize() scales it.
         scaled = Spectrum._trusted(tuple((mz, ab * factor) for mz, ab in s.points))
-        assert exact(peak_list(s, eps, factor), old_peak_list(scaled, eps))
+        assert exact(list(zip(*peak_list(s, eps, factor))), old_peak_list(scaled, eps))
 
     @given(st.lists(stat_spectrum(), min_size=1, max_size=6), STAT_EPS)
     @example(EXACT_EPS_GAP, 0.25)
     @example(SIGNED_ZERO_TIES, 0.5)
     @example(EQUAL_ABUNDANCES * 2, 0.125)
     def test_build_statdb(self, spectra, eps):
-        db, ref = statdb(spectra, eps), old_build_statdb(spectra, eps)
-        assert (db.n_spectra, db.eps) == (ref.n_spectra, ref.eps)
-        assert len(db.bins) == len(ref.bins)
-        for b, r in zip(db.bins, ref.bins):
-            for name in ("phi", "c", "a_tot", "a_tot2", "a_max", "a_min"):
-                assert exact(getattr(b, name), getattr(r, name)), name
+        assert_exact_db(statdb(spectra, eps), old_build_statdb(spectra, eps))
+
+    @given(st.lists(st.lists(stat_spectrum(), min_size=1, max_size=4), min_size=1, max_size=4),
+           STAT_EPS)
+    @example([EXACT_EPS_GAP, [EXACT_EPS_GAP[1]]], 0.25)
+    @example([SIGNED_ZERO_TIES[:1], SIGNED_ZERO_TIES[1:], SIGNED_ZERO_TIES], 0.5)
+    @example([EQUAL_ABUNDANCES, EQUAL_ABUNDANCES], 0.125)
+    @example([EQUAL_MZ_ACROSS_GROUPS[:1], EQUAL_MZ_ACROSS_GROUPS[1:]], 0.125)
+    def test_group_statdbs(self, groups, eps):
+        # Each group sorted on its own and the ensemble merged from them
+        # give the DBs of sorting every peak of the group, and of the run.
+        columns, sizes = {}, {}
+        for key, spectra in enumerate(groups):
+            mzs, abundances = columns[key] = (array("d"), array("d"))
+            for s in spectra:
+                m, a = peak_list(s, eps)
+                mzs.fromlist(m)
+                abundances.fromlist(a)
+            sizes[key] = len(spectra)
+        dbs, ensemble = group_statdbs(columns, sizes, eps)
+        assert list(dbs) == list(range(len(groups)))
+        for key, spectra in enumerate(groups):
+            assert_exact_db(dbs[key], old_build_statdb(spectra, eps))
+            mzs, abundances = columns[key]
+            assert list(zip(mzs, abundances)) == sorted(zip(mzs, abundances))
+        assert_exact_db(ensemble, old_build_statdb([s for g in groups for s in g], eps))
 
     @given(st.lists(stat_spectrum(), min_size=1, max_size=6), STAT_EPS, st.randoms())
     def test_bins_do_not_depend_on_input_order(self, spectra, eps, rng):
