@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
@@ -175,6 +174,8 @@ def classify_batch(sources, rb: RuleBase, workers: int = 1):
 
     if workers == 1:
         return [one(s) for s in sources]
+    from concurrent.futures import ThreadPoolExecutor  # only here: it imports logging and threading
+
     with ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(one, sources))
 

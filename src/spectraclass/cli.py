@@ -253,16 +253,18 @@ def _stream_maps(source, args, palette, stack):
     header = pixmap.ppm_header(width, height)
     for write in (pre_ppm, post_ppm, *mu_ppms):
         write(header)
+    names = [*codes, UNK]  # label -1 is UNK
+    colors = pixmap.class_colors(names, palette)
     n_assigned = 0
-    for spots, pre, post in spatial.map_rows(topology, codes, rows, args.nu, args.floor):
-        pre_lines, post_lines = spatial.map_csv_lines(spots, (pre, post))
+    for (_, xs, ys, mus), pre, post in spatial.map_rows(topology, rows, args.nu, args.floor):
+        pre_lines, post_lines = spatial.map_csv_lines(names, xs, ys, pre, post)
         pre_csv(pre_lines.encode("utf-8"))
         post_csv(post_lines.encode("utf-8"))
-        pre_ppm(pixmap.ppm_bytes(pixmap.class_pixels(pre, palette)))
-        post_ppm(pixmap.ppm_bytes(pixmap.class_pixels(post, palette)))
-        for code, write in zip(codes, mu_ppms):
-            write(pixmap.ppm_bytes(pixmap.membership_pixels(spots, code)))
-        n_assigned += sum(cell.neighbor_assigned for cell in post)
+        pre_ppm(pixmap.class_row(colors, pre[0]))
+        post_ppm(pixmap.class_row(colors, post[0]))
+        for j, write in enumerate(mu_ppms):
+            write(pixmap.grey_row(mus, j))
+        n_assigned += len(post[2])
     return files, n_assigned
 
 

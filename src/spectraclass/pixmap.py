@@ -26,46 +26,48 @@ def ppm_header(width: int, height: int) -> bytes:
     return f"P6\n{width} {height}\n255\n".encode("ascii")
 
 
-def ppm_bytes(pixels) -> bytes:
-    """The P6 bytes of a run of RGB triples."""
-    return bytes(chain.from_iterable(pixels))
-
-
 def write_ppm(stream, width: int, height: int, pixels) -> None:
     """Write a P6 pixmap; ``pixels`` is a row-major list of RGB triples."""
     if len(pixels) != width * height:
         raise ValueError(f"expected {width * height} pixels, got {len(pixels)}")
     stream.write(ppm_header(width, height))
-    stream.write(ppm_bytes(pixels))
+    stream.write(bytes(chain.from_iterable(pixels)))
 
 
-def class_pixels(cells, palette=None):
-    """One pixel per map cell, colored by hard label."""
-    pal = dict(BASALT_PALETTE)
-    if palette:
-        pal.update(palette)
-    return [pal.get(cell.label, _FALLBACK) for cell in cells]
+def class_colors(names, palette=None) -> list:
+    """The pixel bytes of each label in ``names``, colored by ``palette`` over BASALT_PALETTE."""
+    pal = {**BASALT_PALETTE, **(palette or {})}
+    return [bytes(pal.get(name, _FALLBACK)) for name in names]
+
+
+def class_row(colors, labels) -> bytes:
+    """The P6 bytes of a row of label indices, each pixel ``colors[label]``."""
+    return b"".join([colors[k] for k in labels])
 
 
 def render_class_map(cmap: ClassificationMap, palette=None):
     """One pixel per spot, colored by hard label."""
-    return class_pixels(cmap.cells, palette)
+    return [tuple(rgb) for rgb in class_colors([cell.label for cell in cmap.cells], palette)]
 
 
-def membership_pixels(spots, gamma: str):
-    """Grayscale view of one class's membership per spot, 0 -> black, 1 -> white.
+def grey_row(mus, j: int) -> bytearray:
+    """The P6 bytes of class ``j``'s membership per spot in grey, 0 -> black, 1 -> white.
 
     Values outside [0,1], which only grids built through the API can
     hold, are clamped; nan raises ValueError.
     """
-    return [_GREY[round(v * 255) if 0.0 <= (v := spot.membership[gamma]) <= 1.0
-                  else round(min(max(v, 0.0), 1.0) * 255)]
-            for spot in spots]
+    try:
+        levels = bytes([round(mu[j] * 255) for mu in mus])
+    except (ValueError, OverflowError):  # a level outside 0..255, or nan, which clamping keeps
+        levels = bytes([round(min(max(mu[j], 0.0), 1.0) * 255) for mu in mus])
+    row = bytearray(3 * len(levels))
+    row[0::3] = row[1::3] = row[2::3] = levels
+    return row
 
 
 def render_membership_map(grid: SampleGrid, gamma: str):
-    """Grayscale view of one class's membership over the grid; see membership_pixels."""
-    return membership_pixels(grid.spots, gamma)
+    """Grayscale view of one class's membership over the grid; see grey_row."""
+    return [_GREY[g] for g in grey_row([(spot.membership[gamma],) for spot in grid.spots], 0)[::3]]
 
 
 def load_palette(text: str):

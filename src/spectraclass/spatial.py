@@ -7,10 +7,9 @@ import math
 import re
 from dataclasses import dataclass
 from functools import partial
-from itertools import chain
 from typing import Optional
 
-from .classify import UNK, fmt, harden_values
+from .classify import UNK, fmt
 from .errors import BadIndex, DuplicateName, ParseError
 
 RECTANGULAR = "rectangular"
@@ -41,20 +40,6 @@ class SampleGrid:
 
     def __post_init__(self):
         _check_shape(self.topology, self.rows, self.cols, len(self.spots))
-        # harden_values breaks ties in dict order: keep class_codes order.
-        for spot in self.spots:
-            if list(spot.membership) != self.class_codes:
-                spot.membership = {c: spot.membership[c] for c in self.class_codes}
-
-    @classmethod
-    def _trusted(cls, topology: str, rows: int, cols: int, spots: list,
-                 class_codes: list) -> "SampleGrid":
-        """A grid whose spots' dicts already list class_codes in order; only its shape is checked."""
-        grid = object.__new__(cls)
-        grid.__dict__.update(topology=topology, rows=rows, cols=cols, spots=spots,
-                             class_codes=class_codes)
-        _check_shape(topology, rows, cols, len(spots))
-        return grid
 
 
 def _check_shape(topology: str, rows: int, cols: int, n_spots: int) -> None:
@@ -114,32 +99,56 @@ class ClassificationMap:
     cells: list  # one MapCell per spot, in the grid's row-major order
 
 
-def _harden(spots, nu: float) -> list:
-    """One MapCell per spot, hardened from its raw memberships."""
-    return [MapCell(*harden_values(spot.membership, nu)) for spot in spots]
+def _harden(mus, nu: float):
+    """The ``(labels, confs)`` columns of spots hardened from their membership lists.
+
+    A label is the index of the best class, the first of equal ones, as
+    in harden_values(); a spot below nu is labeled -1 (UNK) and has
+    confidence 1 - best.
+    """
+    bests = list(map(max, mus))
+    return ([mu.index(best) if best >= nu else -1 for mu, best in zip(mus, bests)],
+            [best if best >= nu else 1.0 - best for best in bests])
+
+
+def _cells(class_codes, labels, confs, assigned=()) -> list:
+    """The MapCells of one row's label and confidence columns."""
+    names = [*class_codes, UNK]
+    cells = [MapCell(names[k], conf) for k, conf in zip(labels, confs)]
+    for i in assigned:
+        cells[i].neighbor_assigned = True
+    return cells
+
+
+def _grid_rows(grid: SampleGrid):
+    """The spots of ``grid`` as read_grid_rows yields them: ``(ids, xs, ys, mus)`` per grid row."""
+    codes, cols = grid.class_codes, grid.cols
+    for start in range(0, len(grid.spots), cols):
+        spots = grid.spots[start:start + cols]
+        yield ([s.id for s in spots], [s.x for s in spots], [s.y for s in spots],
+               [[s.membership[c] for c in codes] for s in spots])
 
 
 def classify_spots(grid: SampleGrid, nu: float) -> ClassificationMap:
     """Hard classification of every spot from raw memberships only."""
-    return ClassificationMap(_harden(grid.spots, nu))
+    cells = []
+    for _, _, _, mus in _grid_rows(grid):
+        cells += _cells(grid.class_codes, *_harden(mus, nu))
+    return ClassificationMap(cells)
 
 
-def _grid_rows(grid: SampleGrid):
-    """The spots of ``grid``, one list per grid row."""
-    cols = grid.cols
-    return (grid.spots[i:i + cols] for i in range(0, len(grid.spots), cols))
+def map_rows(topology: str, rows, nu: float, floor: Optional[float] = None):
+    """Harden and smooth a grid row by row: yield ``(row, pre, post)`` for each row.
 
-
-def map_rows(topology: str, class_codes: list, spot_rows, nu: float,
-             floor: Optional[float] = None):
-    """Harden and smooth a grid row by row: yield ``(spots, pre, post)`` for each row.
-
-    ``spot_rows`` gives the grid's rows in order, each a list of Spots
-    whose dicts list ``class_codes`` in order. Row r is hardened and
-    smoothed once row r+1 is read, so only rows r-1, r and r+1 are held.
-    ``pre`` and ``post`` are row r's cells before and after smoothing, as
-    classify_spots and reclassify_map define them; a confident spot's
-    post cell is its pre cell.
+    ``rows`` gives the grid's rows in order, each ``(ids, xs, ys, mus)``
+    as read_grid_rows yields them. Row r is hardened and smoothed once row
+    r+1 is read, so only rows r-1, r and r+1 are held. ``pre`` is row r's
+    ``(labels, confs)`` columns before smoothing and ``post`` its
+    ``(labels, confs, assigned)`` after, as classify_spots and
+    reclassify_map define them: a label is an index into the grid's
+    class codes, -1 for UNK, and ``assigned`` lists the indices of the
+    neighbor-assigned spots, the ones below nu. Every other spot keeps
+    its pre label and confidence.
 
     Each smoothed value is the one smoothed_membership() gives, bit for
     bit: the neighbors are listed once per spot, in neighbors() order,
@@ -148,39 +157,38 @@ def map_rows(topology: str, class_codes: list, spot_rows, nu: float,
     that leave the grid.
     """
     smoothed_nu = -math.inf if floor is None else floor
-    rows = iter(spot_rows)
+    rows = iter(rows)
     prev, cur = [], next(rows, None)
     r = 0
     while cur is not None:
         nxt = next(rows, None)
-        cols = len(cur)
+        mus = cur[3]
+        cols = len(mus)
         # Memberships of rows r-1 and r+1, where they exist, around row r at base.
-        window = [spot.membership for spot in chain(prev, cur, nxt or ())]
+        window = [*prev, *mus, *(nxt[3] if nxt else ())]
         base = len(prev)
         lo, hi = (-1 if prev else 0), (0 if nxt is None else 1)
         steps = _steps(topology, r)
         inner = [dr * cols + dc for dr, dc in steps] if prev and nxt else None
-        pre = _harden(cur, nu)
-        post = list(pre)
-        for c, cell in enumerate(pre):
-            if cell.label != UNK:
-                continue
+        labels, confs = _harden(mus, nu)
+        post_labels, post_confs = labels[:], confs[:]
+        assigned = [c for c, k in enumerate(labels) if k < 0]
+        for c in assigned:
             i = base + c
-            mu = window[i]
             if inner is not None and 0 < c < cols - 1:
                 around = [window[i + d] for d in inner]
             else:
                 around = [window[i + dr * cols + dc] for dr, dc in steps
                           if lo <= dr <= hi and 0 <= c + dc < cols]
+            mu = window[i]
             if around:
                 n = len(around)
-                smoothed = {k: mu[k] + sum([m[k] for m in around]) / n for k in class_codes}
-            else:
-                smoothed = mu
-            code, sbest = harden_values(smoothed, smoothed_nu)
-            post[c] = MapCell(code, cell.confidence if code == UNK else sbest, True)
-        yield cur, pre, post
-        prev, cur, r = cur, nxt, r + 1
+                mu = [a + sum(col) / n for a, col in zip(mu, zip(*around))]
+            best = max(mu)
+            if best >= smoothed_nu:  # else the floor keeps the spot UNK, with its raw confidence
+                post_labels[c], post_confs[c] = mu.index(best), best
+        yield cur, (labels, confs), (post_labels, post_confs, assigned)
+        prev, cur, r = mus, nxt, r + 1
 
 
 def reclassify_map(grid: SampleGrid, nu: float, floor: Optional[float] = None) -> ClassificationMap:
@@ -196,8 +204,8 @@ def reclassify_map(grid: SampleGrid, nu: float, floor: Optional[float] = None) -
     row by row through map_rows.
     """
     cells = []
-    for _, _, post in map_rows(grid.topology, grid.class_codes, _grid_rows(grid), nu, floor):
-        cells += post
+    for _, _, post in map_rows(grid.topology, _grid_rows(grid), nu, floor):
+        cells += _cells(grid.class_codes, *post)
     return ClassificationMap(cells)
 
 
@@ -250,7 +258,7 @@ def _layout(line: str, lineno: int):
     if len(idx) < len(columns):
         dup = next(c for k, c in enumerate(columns) if idx[c] != k)
         raise ParseError(f"duplicate column {dup!r}", line=lineno)
-    mu_columns = [(c, idx[f"mu_{c}"]) for c in class_codes]
+    mu_columns = [idx[f"mu_{c}"] for c in class_codes]
     return class_codes, len(columns), mu_columns, idx.get("id"), idx.get("x"), idx.get("y")
 
 
@@ -279,9 +287,11 @@ def read_grid_rows(source):
     ``source`` is the file's text or the open text file, which _lines()
     reads a piece at a time. The first item is ``(topology, rows, cols,
     class_codes)``, yielded once the three headers and the column line
-    are read; each later item is one grid row, a list of ``cols`` Spots,
-    in row-major order. Headers may appear anywhere in the file, each
-    once; spots read before the last of them are held until it is read.
+    are read; each later item is one grid row of ``cols`` spots, in
+    row-major order, as the columns ``(ids, xs, ys, mus)``: each spot's
+    memberships are a list in ``class_codes`` order. Headers may appear
+    anywhere in the file, each once; spots read before the last of them
+    are held until it is read.
 
     A repeated header is raised at its line. Every other error is raised
     after the last line, as if every header came first: a missing,
@@ -293,7 +303,7 @@ def read_grid_rows(source):
     has_columns = False
     error = None  # the first malformed data line; headers are still read after it
     cols = None  # set once the shape is yielded
-    held = []  # spots not yet yielded
+    ids, xs, ys, mus = [], [], [], []  # the columns of the spots not yet yielded
     n = 0
     for lineno, raw in enumerate(_lines(source), 1):
         line = raw.strip()
@@ -324,26 +334,32 @@ def read_grid_rows(source):
                 error = ParseError(f"expected {n_fields} fields", line=lineno)
                 continue
             try:
-                membership = {c: float(fields[k]) for c, k in mu_columns}
+                mu = [float(fields[k]) for k in mu_columns]
                 x = float(fields[kx]) if kx is not None and fields[kx].strip() else 0.0
                 y = float(fields[ky]) if ky is not None and fields[ky].strip() else 0.0
             except ValueError:
                 error = ParseError("non-numeric field in grid row", line=lineno)
                 continue
-            for c, mu in membership.items():
-                if not 0.0 <= mu <= 1.0:  # also false for nan
-                    error = ParseError(f"mu_{c} = {mu} is outside [0,1]", line=lineno)
+            for v in mu:
+                if not 0.0 <= v <= 1.0:  # also false for nan
+                    # index() finds the first bad value: an equal one before it is bad too,
+                    # and a nan is found by identity.
+                    error = ParseError(f"mu_{class_codes[mu.index(v)]} = {v} is outside [0,1]",
+                                       line=lineno)
                     break
             else:
                 if not (math.isfinite(x) and math.isfinite(y)):
                     name, v = ("y", y) if math.isfinite(x) else ("x", x)
                     error = ParseError(f"{name} = {v} is not finite", line=lineno)
                     continue
-                held.append(Spot(membership, "" if kid is None else fields[kid].strip(), x, y))
+                ids.append("" if kid is None else fields[kid].strip())
+                xs.append(x)
+                ys.append(y)
+                mus.append(mu)
                 n += 1
-                if len(held) == cols:
-                    yield held
-                    held = []
+                if len(mus) == cols:
+                    yield ids, xs, ys, mus
+                    ids, xs, ys, mus = [], [], [], []
             continue
         # A header or the column line was read: the shape may be complete now.
         if cols is None and len(meta) == 3 and has_columns:
@@ -353,10 +369,10 @@ def read_grid_rows(source):
                 continue
             cols = shape[2]
             yield (*shape, class_codes)
-            full = len(held) - len(held) % cols
+            full = len(mus) - len(mus) % cols
             for i in range(0, full, cols):
-                yield held[i:i + cols]
-            del held[:full]
+                yield ids[i:i + cols], xs[i:i + cols], ys[i:i + cols], mus[i:i + cols]
+            ids, xs, ys, mus = ids[full:], xs[full:], ys[full:], mus[full:]
     topology, rows, cols = _grid_shape(meta, has_columns, error)
     _check_shape(topology, rows, cols, n)
 
@@ -369,43 +385,43 @@ def read_grid_csv(text: str) -> SampleGrid:
     """
     rows = read_grid_rows(text)
     topology, n_rows, cols, class_codes = next(rows)
-    spots = [spot for row in rows for spot in row]
-    # Each membership dict is built in class_codes order.
-    return SampleGrid._trusted(topology, n_rows, cols, spots, class_codes)
+    spots = [Spot(dict(zip(class_codes, mu)), id, x, y) for row in rows for id, x, y, mu in zip(*row)]
+    return SampleGrid(topology, n_rows, cols, spots, class_codes)
 
 
 MAP_CSV_HEADER = "x,y,label,confidence,neighbor_assigned\n"
 
 
-def map_csv_lines(spots, cell_rows) -> list:
-    """The map CSV lines of one grid row: one string per list of the row's cells in ``cell_rows``.
+def map_csv_lines(names, xs, ys, pre, post) -> tuple:
+    """The pre and post map CSV text of one grid row.
 
-    A spot's x and y are formatted once for all maps, and its line once
-    for consecutive maps that share its cell, as a confident spot's pre
-    and post maps do.
+    ``pre`` and ``post`` are the row's columns as map_rows yields them,
+    and ``names[k]`` is the label written for label k. A spot's x and y
+    are formatted once for both maps, and so is its line, unless it was
+    neighbor-assigned.
     """
-    outs = [[] for _ in cell_rows]
-    for i, spot in enumerate(spots):
-        xy = f"{fmt(spot.x)},{fmt(spot.y)},"
-        last = None
-        for cells, out in zip(cell_rows, outs):
-            cell = cells[i]
-            if cell is not last:
-                last = cell
-                line = (f"{xy}{cell.label},{fmt(cell.confidence)},"
-                        f"{'true' if cell.neighbor_assigned else 'false'}\n")
-            out.append(line)
-    return ["".join(out) for out in outs]
+    xy = [f"{fmt(x)},{fmt(y)}," for x, y in zip(xs, ys)]
+    lines = [f"{p}{names[k]},{fmt(conf)},false\n" for p, k, conf in zip(xy, *pre)]
+    pre_text = "".join(lines)
+    labels, confs, assigned = post
+    for i in assigned:
+        lines[i] = f"{xy[i]}{names[labels[i]]},{fmt(confs[i])},true\n"
+    return pre_text, "".join(lines)
 
 
 def write_map_csv(grid: SampleGrid, outputs) -> None:
     """Write each ``(cmap, stream)`` pair of ``outputs`` as a map CSV, one grid row at a time."""
-    maps = [(cmap.cells, stream.write) for cmap, stream in outputs]
-    for _, write in maps:
-        write(MAP_CSV_HEADER)
+    outputs = list(outputs)
+    for _, stream in outputs:
+        stream.write(MAP_CSV_HEADER)
     cols = grid.cols
     for start in range(0, len(grid.spots), cols):
-        stop = start + cols
-        lines = map_csv_lines(grid.spots[start:stop], [cells[start:stop] for cells, _ in maps])
-        for (_, write), text in zip(maps, lines):
-            write(text)
+        spots = grid.spots[start:start + cols]
+        xs, ys = [s.x for s in spots], [s.y for s in spots]
+        for cmap, stream in outputs:
+            cells = cmap.cells[start:start + cols]
+            own = range(len(cells))  # label k is cell k's own label
+            confs = [cell.confidence for cell in cells]
+            assigned = [i for i, cell in enumerate(cells) if cell.neighbor_assigned]
+            labels = [cell.label for cell in cells]
+            stream.write(map_csv_lines(labels, xs, ys, (own, confs), (own, confs, assigned))[1])

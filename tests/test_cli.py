@@ -464,6 +464,24 @@ class TestMapCmd:
         self._fatal(["map", str(grid), "--out", str(tmp_path / "m")], capsys,
                     f"grid.csv: mu_AGT = {float(mu)} is outside [0,1] (line 9)")
 
+    @pytest.mark.parametrize("mu", ["nan", "-0.1", "1.5"])
+    @pytest.mark.parametrize("column", ["ILM", "PLG", "OLV"])  # the first, a middle and the last
+    def test_membership_outside_unit_interval_named_in_any_column(self, tmp_path, capsys, column, mu):
+        values = {"ILM": "0", "AGT": "0.3", "PLG": "0", "OLV": "0", column: mu}
+        grid = grid_file(tmp_path)
+        grid.write_text(grid.read_text().replace("s4,1,1,X,0,0,0.3,0,0",
+                                                 "s4,1,1,X,0," + ",".join(values.values())))
+        self._fatal(["map", str(grid), "--out", str(tmp_path / "m")], capsys,
+                    f"grid.csv: mu_{column} = {float(mu)} is outside [0,1] (line 9)")
+
+    @pytest.mark.parametrize("agt,olv", [("nan", "1.5"), ("1.5", "nan"), ("-0.1", "-0.1")])
+    def test_first_of_two_memberships_outside_unit_interval_named(self, tmp_path, capsys, agt, olv):
+        # A min() or max() over the row skips a nan that is not its first value.
+        grid = grid_file(tmp_path)
+        grid.write_text(grid.read_text().replace("s4,1,1,X,0,0,0.3,0,0", f"s4,1,1,X,0,0,{agt},0,{olv}"))
+        self._fatal(["map", str(grid), "--out", str(tmp_path / "m")], capsys,
+                    f"grid.csv: mu_AGT = {float(agt)} is outside [0,1] (line 9)")
+
     def test_unk_column_fatal(self, tmp_path, capsys):
         grid = grid_file(tmp_path)
         grid.write_text(grid.read_text().replace("mu_OLV", "mu_UNK"))

@@ -1,6 +1,8 @@
-"""Every import in the package's modules is used, and the runtime is pure stdlib."""
+"""Every import in the package's modules is used, the runtime is pure stdlib, and the CLI imports no thread pool."""
 
 import ast
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -59,3 +61,12 @@ def test_imports_only_the_standard_library(path):
     # Anything else, the package itself included, must be a relative import.
     names = absolute_imports(path.read_text(encoding="utf-8"))
     assert [name for name in names if name not in sys.stdlib_module_names] == []
+
+
+def test_cli_import_leaves_the_thread_pool_unloaded():
+    # -S skips site, which in some installs imports threading itself.
+    code = "import sys, spectraclass.cli; print(*sorted(sys.modules))"
+    src = str(Path(spectraclass.__file__).resolve().parents[1])
+    loaded = subprocess.run([sys.executable, "-S", "-c", code], env={**os.environ, "PYTHONPATH": src},
+                            capture_output=True, text=True, check=True).stdout.split()
+    assert {"concurrent.futures", "logging", "threading"}.isdisjoint(loaded)

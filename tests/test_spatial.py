@@ -284,11 +284,10 @@ class TestGridIO:
 
 
 class TestApiGrid:
-    def test_dicts_reordered_to_class_codes(self):
+    def test_ties_break_in_class_code_order_whatever_the_dict_order(self):
         # Each dict lists the classes in reverse; ILM and AGT tie.
         weak = {"OLV": 0.0, "PLG": 0.1, "AGT": 0.2, "ILM": 0.2}
         g = grid_from(2, 2, [weak] * 4)
-        assert all(list(spot.membership) == CODES for spot in g.spots)
         assert g.spots[0].membership == weak
         assert [c.label for c in classify_spots(g, 0.2).cells] == ["ILM"] * 4
         assert [c.label for c in reclassify_map(g, 0.5).cells] == ["ILM"] * 4
@@ -431,12 +430,35 @@ def expected_map_files(grid, nu, floor, palette):
     return files, sum(c.neighbor_assigned for c in post)
 
 
+def map_run(cols, spots, floor=None, topology="rect"):
+    """A map_runs item over classes A and B at nu 0.5: ``spots`` gives each spot's x, y, mu_A, mu_B fields."""
+    lines = [f"# topology: {topology}", f"# rows: {len(spots) // cols}", f"# cols: {cols}",
+             "id,x,y,label,confidence,mu_A,mu_B"] + [f"s,{x},{y},X,0,{a},{b}" for x, y, a, b in spots]
+    grid = SampleGrid({"rect": RECTANGULAR, "hex": HEXAGONAL}[topology], len(spots) // cols, cols,
+                      [Spot({"A": float(a), "B": float(b)}, "s", float(x or 0), float(y or 0))
+                       for x, y, a, b in spots], ["A", "B"])
+    return "\n".join(lines) + "\n", grid, {"nu": 0.5, "floor": floor, "topology": None, "palette": None}
+
+
+# Ends tie in pre; the middle spot is below nu and its smoothed values tie at 0.875.
+TIED = [("0", "0", "0.625", "0.625"), ("1", "0", "0.25", "0.25"), ("2", "0", "0.625", "0.625")]
+
+
 class TestMapCliReference:
     @settings(max_examples=150, deadline=None)
     @given(map_runs())
     @example(("# topology: rect\n# rows: 1\n# cols: 1\nid,x,y,label,confidence,mu_A\ns,,,X,0,0.25\n",
               SampleGrid(RECTANGULAR, 1, 1, [Spot({"A": 0.25})], ["A"]),
               {"nu": 0.5, "floor": None, "topology": None, "palette": None}))
+    # -0.0 and 0 in one x column and in one y column print as -0 and 0.
+    @example(map_run(2, [("-0.0", "0", "0.25", "0.5"), ("0", "-0.0", "0.5", "0.25"),
+                         ("-0.0", "-0.0", "0.75", "0.25"), ("0", "0", "0.25", "0.75")]))
+    @example(map_run(3, TIED))
+    @example(map_run(3, TIED, floor=0.875))  # the tie reaches the floor exactly
+    @example(map_run(3, TIED, floor=0.9))  # the floor keeps the middle spot UNK
+    # The middle spot leans to B raw, but A and B tie at 1.0 smoothed.
+    @example(map_run(3, [("0", "1", "0.875", "0.75"), ("1", "1", "0.125", "0.25"),
+                         ("2", "1", "0.875", "0.75")], topology="hex"))
     def test_cli_equals_whole_grid_reference(self, run):
         text, grid, options = run
         with tempfile.TemporaryDirectory() as d:
