@@ -10,6 +10,7 @@ from .classify import (
     Classification,
     MembershipVector,
     classify_batch,
+    classify_iter,
     harden,
     memberships,
 )

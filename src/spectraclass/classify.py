@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
@@ -129,13 +130,31 @@ class BatchResult:
     error: Optional[str] = None
 
 
+def _stem(path: str) -> str:
+    """``Path(path).stem`` of a ``/``-separated path, without building a Path."""
+    name = next((part for part in reversed(path.split("/")) if part and part != "."), "")
+    i = name.rfind(".")
+    return name[:i] if 0 < i < len(name) - 1 else name
+
+
+def _read_text(path: str) -> str:
+    """The text of the file ``path``, and its errors, as ``Path(path).read_text`` gives them."""
+    try:
+        with open(path, encoding="utf-8") as f:
+            return f.read()
+    except OSError:
+        # Path names the file as it normalises it (./a.csv as a.csv): raise its error.
+        Path(path).read_text(encoding="utf-8")
+        raise
+
+
 def _source_id(source) -> str:
-    """The id of a Spectrum, an (id, text) pair, or a Path (its stem)."""
+    """The id of a Spectrum, an (id, text) pair, or a file path (its stem)."""
     if isinstance(source, Spectrum):
         return source.id
     if isinstance(source, tuple):
         return source[0] if source else ""
-    return source.stem
+    return _stem(source)
 
 
 def _resolve(source, sid: str) -> Spectrum:
@@ -144,17 +163,18 @@ def _resolve(source, sid: str) -> Spectrum:
     if isinstance(source, tuple):
         _, text = source
     else:
-        text = source.read_text(encoding="utf-8")
+        text = _read_text(source)
     return parse_spectrum(text, id=sid)
 
 
-def classify_batch(sources, rb: RuleBase, workers: int = 1):
-    """Classify many inputs; output order always matches input order.
+def classify_iter(sources, rb: RuleBase, workers: int = 1):
+    """Classify many inputs: an iterator of one BatchResult per source, in input order.
 
     Each source is a Spectrum, an ``(id, text)`` pair or a file path. The
-    rule base is compiled once, before any input is read, so its errors
-    raise from here; per-item failures become error records instead of
-    aborting the batch.
+    rule base is compiled here, before any input is read, so its errors
+    raise from this call and not from the first result; per-item failures
+    become error records instead of aborting the batch. With one worker,
+    each input is read and classified only when its result is asked for.
     """
     if workers < 1:
         raise ValueError("workers must be >= 1")
@@ -163,7 +183,7 @@ def classify_batch(sources, rb: RuleBase, workers: int = 1):
 
     def one(source):
         if not isinstance(source, (Spectrum, tuple)):
-            source = Path(source)
+            source = os.fspath(source)
         sid = _source_id(source)
         try:
             s = _resolve(source, sid)
@@ -173,11 +193,21 @@ def classify_batch(sources, rb: RuleBase, workers: int = 1):
             return BatchResult(sid, None, None, error=str(exc))
 
     if workers == 1:
-        return [one(s) for s in sources]
+        return map(one, sources)
+    return _pooled(one, sources, workers)
+
+
+def _pooled(one, sources, workers: int):
+    """``map(one, sources)`` on ``workers`` threads; every source is submitted at once."""
     from concurrent.futures import ThreadPoolExecutor  # only here: it imports logging and threading
 
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(one, sources))
+        yield from pool.map(one, sources)
+
+
+def classify_batch(sources, rb: RuleBase, workers: int = 1) -> list:
+    """Every result of ``classify_iter``, as a list."""
+    return list(classify_iter(sources, rb, workers))
 
 
 def fmt(x: float) -> str:

@@ -18,7 +18,7 @@ from collections import Counter
 from pathlib import Path
 
 from . import pixmap, spatial, stats
-from .classify import UNK, classify_batch, compile_rules, harden, write_batch_csv
+from .classify import UNK, classify_iter, compile_rules, harden, write_batch_csv
 from .errors import SpectraClassError
 from .rulebase import builtin_basalt, parse_rulebase, validate
 from .spectrum import parse_spectrum, scale_factor
@@ -84,22 +84,34 @@ def expand_inputs(patterns):
 def cmd_classify(args) -> int:
     rb = load_rules(args.rules, args.epsilon, args.nu)
     inputs = expand_inputs(args.inputs)
-    results = classify_batch(inputs, rb, workers=args.workers)
     codes = rb.class_codes()
+    counts = Counter()
+    errors = []  # (path, message) of each file that failed
+
+    def tally(results):
+        """Pass ``results`` through, counting labels and keeping the failures."""
+        for path, r in zip(inputs, results):
+            if r.error is None:
+                counts[r.classification.label] += 1
+            else:
+                errors.append((path, r.error))
+            yield r
+
+    results = tally(classify_iter(inputs, rb, workers=args.workers))
     if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="") as f:
-            write_batch_csv(results, codes, f)
+        with tempfile.TemporaryFile("w+", encoding="utf-8", newline="") as tmp:
+            write_batch_csv(results, codes, tmp)
+            tmp.flush()
+            _publish({args.out: tmp.buffer})
         summary_stream = sys.stdout
     else:
         write_batch_csv(results, codes, sys.stdout)
         summary_stream = sys.stderr
 
-    counts = Counter(r.classification.label for r in results if r.error is None)
-    errors = [r for r in results if r.error is not None]
-    parts = [f"{c}: {counts.get(c, 0)}" for c in codes] + [f"{UNK}: {counts.get(UNK, 0)}"]
+    parts = [f"{c}: {counts[c]}" for c in codes] + [f"{UNK}: {counts[UNK]}"]
     print("  ".join(parts) + f"  errors: {len(errors)}", file=summary_stream)
-    for r in errors:
-        print(f"error: {r.id}: {r.error}", file=sys.stderr)
+    for path, message in errors:
+        print(f"error: {path}: {message}", file=sys.stderr)
     return EX_PARTIAL if errors else EX_OK
 
 
@@ -151,10 +163,10 @@ def cmd_stats(args) -> int:
             print(f"== {key} ({db.n_spectra} spectra) vs ensemble ({ensemble_db.n_spectra}) ==")
             print(stats.render_histogram(rows))
             if out_dir:
-                f = files[f"{key}_report.csv"] = stack.enter_context(tempfile.TemporaryFile())
+                f = files[out_dir / f"{key}_report.csv"] = stack.enter_context(tempfile.TemporaryFile())
                 stats.write_report_csv(rows, codecs.getwriter("utf-8")(f))
         if out_dir:
-            _publish(out_dir, files)
+            _publish(files)
     return EX_OK
 
 
@@ -197,13 +209,13 @@ def cmd_map(args) -> int:
             raise palette_error
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
-        _publish(out_dir, files)
+        _publish({out_dir / name: f for name, f in files.items()})
     print(f"wrote maps to {out_dir} ({n_assigned} neighbor-assigned spots)")
     return EX_OK
 
 
-def _publish(out_dir, files):
-    """Copy each ``{name: temporary file}`` into ``out_dir``: all of them, or on an error none.
+def _publish(files):
+    """Copy each ``{target path: temporary file}`` to its target: all of them, or on an error none.
 
     Each copy is staged beside its target and renamed over it only once
     every target is checked and every copy made; an error removes the
@@ -212,15 +224,15 @@ def _publish(out_dir, files):
     """
     staged = []
     try:
-        for name, tmp in files.items():
-            target = out_dir / name
-            if target.is_dir():
-                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(target))
-            part = target.with_name(f".{target.name}.part")
+        for target, tmp in files.items():
+            head, name = os.path.split(target)
+            if not name or os.path.isdir(target):  # open() says EISDIR for a/ too
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), os.fspath(target))
+            part = os.path.join(head, f".{name}.part")
             try:
                 f = open(part, "wb")
             except OSError as exc:
-                raise OSError(exc.errno, exc.strerror, str(target)) from None
+                raise OSError(exc.errno, exc.strerror, os.fspath(target)) from None
             staged.append((part, target))
             with f:
                 tmp.seek(0)

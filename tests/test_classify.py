@@ -4,15 +4,18 @@ import math
 import random
 import re
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
 from conftest import ION_MZ, make_spectrum, spectrum_csv
+from spectraclass import classify
 from spectraclass.classify import (
     Classification,
     MembershipVector,
     classify_batch,
+    classify_iter,
     compile_rules,
     harden,
     harden_values,
@@ -342,3 +345,25 @@ class TestBatch:
         change(basalt)
         with pytest.raises(error):
             classify_batch([tmp_path / "missing.csv", ("s", spectrum_csv({"Al": 20}))], basalt)
+
+    def test_iter_raises_rule_base_errors_at_the_call(self, basalt):
+        basalt.classes.clear()
+        with pytest.raises(NoClasses):
+            classify_iter([("s", spectrum_csv({"Al": 20}))], basalt)
+
+    def test_iter_reads_each_input_when_its_result_is_asked_for(self, basalt):
+        taken = []
+
+        def sources():
+            for i in range(3):
+                taken.append(i)
+                yield f"s{i}", spectrum_csv({"Al": 20})
+
+        results = classify_iter(sources(), basalt)
+        assert taken == []
+        assert next(results).id == "s0" and taken == [0]
+        assert [r.id for r in results] == ["s1", "s2"]
+
+    @given(st.text(alphabet="ab. /", max_size=12))
+    def test_file_id_is_the_path_stem(self, path):
+        assert classify._stem(path) == Path(path).stem

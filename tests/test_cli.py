@@ -146,6 +146,124 @@ class TestClassifyCmd:
         assert flag[2:] in capsys.readouterr().err
 
 
+class TestClassifyStreaming:
+    def test_error_line_names_the_path(self, tmp_path, monkeypatch, capsys):
+        # Two files share the stem x; the batch CSV ids stay stems, since map reads them.
+        monkeypatch.chdir(tmp_path)
+        for d, text in (("a", spectrum_csv(FIXTURES["agt"])), ("b", "10,abc\n")):
+            (tmp_path / "t" / d).mkdir(parents=True)
+            (tmp_path / "t" / d / "x.csv").write_text(text)
+        assert main(["classify", "t/a/x.csv", "t/b/x.csv"]) == EX_PARTIAL
+        captured = capsys.readouterr()
+        assert [row[:4] for row in csv.reader(io.StringIO(captured.out))][1:] == \
+            [["x", "", "", "AGT"], ["x", "", "", "ERROR"]]
+        assert captured.err == ("ILM: 0  AGT: 1  PLG: 0  OLV: 0  UNK: 0  errors: 1\n"
+                                "error: t/b/x.csv: non-numeric field in '10,abc' (line 1)\n")
+
+    @pytest.mark.parametrize("path, message", [
+        ("./missing.csv", "[Errno 2] No such file or directory: 'missing.csv'"),
+        ("d//missing.csv", "[Errno 2] No such file or directory: 'd/missing.csv'"),
+        ("d", "[Errno 21] Is a directory: 'd'"),
+        ("./d/", "[Errno 21] Is a directory: 'd'"),
+        ("", "[Errno 21] Is a directory: '.'"),
+    ])
+    def test_os_error_text_as_pathlib_gives_it(self, tmp_path, monkeypatch, capsys, path, message):
+        # Files are opened by the name given; the message names the file as Path names it.
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "d").mkdir()
+        with pytest.raises(OSError) as read_error:
+            Path(path).read_text(encoding="utf-8")
+        assert str(read_error.value) == message
+        assert main(["classify", path]) == EX_PARTIAL
+        assert capsys.readouterr().err.splitlines()[1:] == [f"error: {path}: {message}"]
+
+    def test_peak_does_not_grow_with_the_batch(self, tmp_path):
+        # Rows are written as they are classified; only the input path lists grow.
+        # Spectra have 30 peaks, as on classify-sparse: a freed tuple of fewer
+        # than 20 points stays on the interpreter's free list, which tracemalloc counts.
+        rng = random.Random(0)
+        d = tmp_path / "in"
+        d.mkdir()
+        paths = []
+        for i in range(1000):
+            paths.append(str(d / f"s{i:04}.csv"))
+            Path(paths[-1]).write_text("".join(
+                f"{10 + 5 * k + rng.uniform(-1, 1)!r},{rng.uniform(1, 100)!r}\n" for k in range(30)))
+        out = str(tmp_path / "batch.csv")
+        assert main(["classify", *paths[:10], "--out", out]) == EX_OK
+        peaks = []
+        for n in (250, 1000):
+            argv = ["classify", *paths[:n], "--out", out]
+            tracemalloc.start()
+            try:
+                assert main(argv) == EX_OK
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert (peaks[1] - peaks[0]) / 750 < 100, peaks
+
+    def test_interrupted_run_leaves_the_old_out(self, spectra_dir, tmp_path, monkeypatch):
+        compile_rules = classify.compile_rules
+
+        def interrupting(rb):
+            classify_spectrum = compile_rules(rb)
+            calls = []
+
+            def on_the_third_spectrum(s, factor=None):
+                calls.append(s.id)
+                if len(calls) == 3:
+                    raise KeyboardInterrupt
+                return classify_spectrum(s, factor)
+            return on_the_third_spectrum
+
+        monkeypatch.setattr(classify, "compile_rules", interrupting)
+        out = tmp_path / "o" / "batch.csv"
+        out.parent.mkdir()
+        out.write_bytes(b"old\r\n")
+        with pytest.raises(KeyboardInterrupt):
+            main(["classify", str(spectra_dir / "*.csv"), "--out", str(out)])
+        assert list(out.parent.iterdir()) == [out]  # no .batch.csv.part
+        assert out.read_bytes() == b"old\r\n"
+
+    def test_out_naming_a_directory_fatal(self, spectra_dir, tmp_path, capsys):
+        out = tmp_path / "o"
+        out.mkdir()
+        assert main(["classify", str(spectra_dir / "*.csv"), "--out", str(out)]) == EX_FATAL
+        assert capsys.readouterr() == ("", f"spectraclass: error: [Errno 21] Is a directory: '{out}'\n")
+        assert list(out.iterdir()) == []
+
+    def test_same_bytes_with_and_without_out_for_any_workers(self, spectra_dir, tmp_path, capsys):
+        (spectra_dir / "broken.csv").write_text("26.98,abc\n")
+        (spectra_dir / "empty.csv").write_text("")
+        pattern = str(spectra_dir / "*.csv")
+        runs = {}
+        for workers in ("1", "2"):
+            out = tmp_path / f"batch{workers}.csv"
+            code = main(["classify", pattern, "--workers", workers])
+            captured = capsys.readouterr()
+            runs[workers, "stdout"] = (code, captured.out, captured.err)
+            code = main(["classify", pattern, "--workers", workers, "--out", str(out)])
+            captured = capsys.readouterr()
+            runs[workers, "out"] = (code, out.read_text(), captured.out + captured.err)
+        assert len(set(runs.values())) == 1, runs
+        code, batch, messages = runs["1", "out"]
+        assert code == EX_PARTIAL
+        assert [row[:4] for row in csv.reader(io.StringIO(batch))] == [
+            ["id", "x", "y", "label"], ["agt", "", "", "AGT"], ["broken", "", "", "ERROR"],
+            ["empty", "", "", "ERROR"], ["ilm", "", "", "ILM"], ["olv", "", "", "OLV"],
+            ["plg", "", "", "PLG"]]
+        assert messages == (
+            "ILM: 1  AGT: 1  PLG: 1  OLV: 1  UNK: 0  errors: 2\n"
+            f"error: {spectra_dir}/broken.csv: non-numeric field in '26.98,abc' (line 1)\n"
+            f"error: {spectra_dir}/empty.csv: {runs_error(spectra_dir / 'empty.csv')}\n")
+
+
+def runs_error(path):
+    """The error message a batch gives the file ``path``."""
+    (result,) = classify.classify_batch([path], builtin_basalt())
+    return result.error
+
+
 class TestLoadRules:
     @pytest.mark.parametrize("spec", ["builtin:basalt", "file"])
     def test_validated_once_without_overrides(self, tmp_path, monkeypatch, spec):
