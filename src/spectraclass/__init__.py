@@ -14,7 +14,7 @@ from .classify import (
     harden,
     memberships,
 )
-from .fuzzy import MembershipFn, eval_expr, f_and, f_not, f_or, mu_high, mu_low
+from .fuzzy import MembershipFn
 from .rulebase import (
     ClassRule,
     RuleBase,
@@ -23,13 +23,12 @@ from .rulebase import (
     serialize_rulebase,
     validate,
 )
-from .spatial import SampleGrid, neighbors, reclassify_map, smoothed_membership
+from .spatial import SampleGrid, neighbors, read_grid_csv, reclassify_map
 from .spectrum import (
     IonTarget,
     Spectrum,
     normalize,
     parse_spectrum,
-    peak_abundance,
     serialize_spectrum,
 )
 from .stats import (

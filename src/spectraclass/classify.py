@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from itertools import islice
 from pathlib import Path
 from typing import Optional
 
@@ -42,9 +43,9 @@ def compile_rules(rb: RuleBase):
     gets one window_slice(), looked up once per spectrum on the raw points
     and rescaled by scale_factor(): the same value, bit for bit, as a
     lookup in the normalized spectrum. A caller that already holds that
-    factor, as stats does, passes it instead. Each expression is compiled by
-    fuzzy.compile_expr(), so the result equals fuzzy.eval_expr() on the
-    same term values bit for bit.
+    factor, as stats does, passes it instead. Each term's membership is
+    the piecewise-linear law MembershipFn states, and each expression is
+    compiled by fuzzy.compile_expr(), which defines the connectives.
 
     Rule-base errors are raised here, once: no classes, and an expression
     naming a term its class does not declare. Options and MembershipFn
@@ -85,7 +86,7 @@ def compile_rules(rb: RuleBase):
         mu = []
         for slot, high, l, h, span in plan:
             x = p[slot]
-            v = 0.0 if x < l else 1.0 if x >= h else (x - l) / span  # mu_high
+            v = 0.0 if x < l else 1.0 if x >= h else (x - l) / span  # MembershipFn's law
             mu.append(v if high else 1.0 - v)
         return MembershipVector.from_values({code: expr(mu) for code, expr in exprs})
 
@@ -197,12 +198,17 @@ def classify_iter(sources, rb: RuleBase, workers: int = 1):
     return _pooled(one, sources, workers)
 
 
+_SLICE = 16  # sources submitted per worker at a time, so only that many results are held
+
+
 def _pooled(one, sources, workers: int):
-    """``map(one, sources)`` on ``workers`` threads; every source is submitted at once."""
+    """``map(one, sources)`` on ``workers`` threads, submitting ``_SLICE * workers`` sources at a time."""
     from concurrent.futures import ThreadPoolExecutor  # only here: it imports logging and threading
 
+    sources = iter(sources)
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        yield from pool.map(one, sources)
+        while batch := list(islice(sources, _SLICE * workers)):
+            yield from pool.map(one, batch)
 
 
 def classify_batch(sources, rb: RuleBase, workers: int = 1) -> list:

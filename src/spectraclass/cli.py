@@ -217,26 +217,30 @@ def cmd_map(args) -> int:
 def _publish(files):
     """Copy each ``{target path: temporary file}`` to its target: all of them, or on an error none.
 
-    Each copy is staged beside its target and renamed over it only once
-    every target is checked and every copy made; an error removes the
-    staged copies. A target that cannot be written is reported as opening
-    it would report it.
+    Each copy is staged beside the file its target resolves to, so a
+    symlinked target is written through, takes that file's mode if it
+    exists, and is renamed over it only once every target is checked and
+    every copy made; an error removes the staged copies. Errors name the
+    target as given: one that cannot be written as opening it would.
     """
     staged = []
     try:
         for target, tmp in files.items():
-            head, name = os.path.split(target)
-            if not name or os.path.isdir(target):  # open() says EISDIR for a/ too
+            if not os.path.basename(target) or os.path.isdir(target):  # open() says EISDIR for a/ too
                 raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), os.fspath(target))
+            real = os.path.realpath(target)
+            head, name = os.path.split(real)
             part = os.path.join(head, f".{name}.part")
             try:
                 f = open(part, "wb")
             except OSError as exc:
                 raise OSError(exc.errno, exc.strerror, os.fspath(target)) from None
-            staged.append((part, target))
+            staged.append((part, real))
             with f:
                 tmp.seek(0)
                 shutil.copyfileobj(tmp, f)
+            with contextlib.suppress(FileNotFoundError):
+                shutil.copymode(real, part)
         for part, target in staged:
             os.replace(part, target)
     except BaseException:

@@ -1,8 +1,9 @@
-"""Fuzzy membership functions, connectives, and expression evaluation.
+"""Fuzzy membership functions, expression trees and their compiled evaluation.
 
-AND is the product t-norm, OR the probabilistic sum, NOT the complement.
-The product form keeps OR terms additive (several partially present
-metals can accumulate into a strong OR) and makes AND stricter than min.
+AND is the product t-norm, OR the probabilistic sum, NOT the complement;
+compile_expr() is their one definition. The product form keeps OR terms
+additive (several partially present metals can accumulate into a strong
+OR) and makes AND stricter than min.
 """
 
 from __future__ import annotations
@@ -11,60 +12,17 @@ import math
 from dataclasses import dataclass
 from operator import itemgetter
 
-from .errors import DomainError, InvalidThresholds, UnknownTerm
-
-
-def mu_high(p: float, l: float, h: float) -> float:
-    """Piecewise-linear membership for a required high abundance."""
-    if l >= h:
-        raise InvalidThresholds(f"l must be < h, got l={l}, h={h}")
-    if p < l:
-        return 0.0
-    if p >= h:
-        return 1.0
-    return (p - l) / (h - l)
-
-
-def mu_low(p: float, l: float, h: float) -> float:
-    """Complement of mu_high: membership for a required low abundance."""
-    return 1.0 - mu_high(p, l, h)
-
-
-def _check_unit(x):
-    if not 0.0 <= x <= 1.0:
-        raise DomainError(f"fuzzy value outside [0,1]: {x}")
-
-
-def f_not(a: float) -> float:
-    _check_unit(a)
-    return 1.0 - a
-
-
-def f_and(*values: float) -> float:
-    """Product t-norm, folded left; identity is 1."""
-    out = 1.0
-    for v in values:
-        _check_unit(v)
-        out = out * v
-    return out
-
-
-def f_or(*values: float) -> float:
-    """Probabilistic sum, folded left; identity is 0."""
-    out = 0.0
-    for v in values:
-        _check_unit(v)
-        if v == 1.0 or out == 1.0:
-            # keep the absorbing element exact; a + 1 - a drops a ulp
-            out = 1.0
-        else:
-            out = min(out + v - out * v, 1.0)
-    return out
+from .errors import InvalidThresholds, UnknownTerm
 
 
 @dataclass(frozen=True)
 class MembershipFn:
-    """A high- or low-abundance requirement: finite thresholds l < h with a finite span h - l."""
+    """A high- or low-abundance requirement: finite thresholds l < h with a finite span h - l.
+
+    A high requirement's membership of abundance p is 0 for p < l, 1 for
+    p >= h and (p - l) / (h - l) between; a low one's is 1 minus that.
+    classify.compile_rules() evaluates it.
+    """
 
     polarity: str  # "high" | "low"
     l: float
@@ -77,11 +35,6 @@ class MembershipFn:
             raise InvalidThresholds(f"l must be < h, got l={self.l}, h={self.h}")
         if not self.h - self.l < math.inf:  # also true for an infinite threshold
             raise InvalidThresholds(f"thresholds need a finite span h - l, got l={self.l}, h={self.h}")
-
-    def __call__(self, p: float) -> float:
-        if self.polarity == "high":
-            return mu_high(p, self.l, self.h)
-        return mu_low(p, self.l, self.h)
 
 
 # Expression tree nodes. And/Or are n-ary and flattened by the parser.
@@ -114,33 +67,17 @@ class Not:
     child: object
 
 
-def eval_expr(expr, env: dict) -> float:
-    """Evaluate an expression tree against term truth values in [0,1]."""
-    if isinstance(expr, Term):
-        try:
-            value = env[expr.name]
-        except KeyError:
-            raise UnknownTerm(expr.name) from None
-        _check_unit(value)
-        return value
-    if isinstance(expr, And):
-        return f_and(*(eval_expr(c, env) for c in expr.children))
-    if isinstance(expr, Or):
-        return f_or(*(eval_expr(c, env) for c in expr.children))
-    if isinstance(expr, Not):
-        return f_not(eval_expr(expr.child, env))
-    raise TypeError(f"not an expression node: {expr!r}")
-
-
 def compile_expr(expr, index: dict):
     """Compile an expression tree into a function of a list of term values.
 
     ``index`` maps each term name to the position of its value in that
-    list. The function folds AND and OR left to right exactly as f_and()
-    and f_or() do, so it returns eval_expr()'s result bit for bit, but it
-    checks no value: the caller guarantees every term value is in [0,1],
-    and then every connective's result is too. An unknown name raises
-    UnknownTerm here, once, instead of on every evaluation.
+    list. NOT is 1 - a. AND folds its children left to right from 1 by
+    the product t-norm, out * v. OR folds them left to right from 0 by the
+    probabilistic sum, out + v - out * v capped at 1, except that a 1 on
+    either side gives exactly 1 (a + 1 - a can drop a ulp). No value is
+    checked: the caller guarantees every term value is in [0,1], and then
+    every connective's result is too. An unknown name raises UnknownTerm
+    here, once, instead of on every evaluation.
     """
     if isinstance(expr, Term):
         try:

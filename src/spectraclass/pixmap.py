@@ -1,10 +1,6 @@
-"""Binary PPM (P6) rendering of classification and membership maps."""
+"""Binary PPM (P6) rows of classification and membership maps, and their palettes."""
 
 from __future__ import annotations
-
-from itertools import chain
-
-from .spatial import ClassificationMap, SampleGrid
 
 # Fixed palette for the basalt classes; UNK renders black.
 BASALT_PALETTE = {
@@ -17,21 +13,10 @@ BASALT_PALETTE = {
 
 _FALLBACK = (128, 128, 128)
 
-# One shared pixel per grey level.
-_GREY = [(g, g, g) for g in range(256)]
-
 
 def ppm_header(width: int, height: int) -> bytes:
     """The P6 header of a ``width`` x ``height`` pixmap; the pixel bytes follow it, row by row."""
     return f"P6\n{width} {height}\n255\n".encode("ascii")
-
-
-def write_ppm(stream, width: int, height: int, pixels) -> None:
-    """Write a P6 pixmap; ``pixels`` is a row-major list of RGB triples."""
-    if len(pixels) != width * height:
-        raise ValueError(f"expected {width * height} pixels, got {len(pixels)}")
-    stream.write(ppm_header(width, height))
-    stream.write(bytes(chain.from_iterable(pixels)))
 
 
 def class_colors(names, palette=None) -> list:
@@ -45,29 +30,16 @@ def class_row(colors, labels) -> bytes:
     return b"".join([colors[k] for k in labels])
 
 
-def render_class_map(cmap: ClassificationMap, palette=None):
-    """One pixel per spot, colored by hard label."""
-    return [tuple(rgb) for rgb in class_colors([cell.label for cell in cmap.cells], palette)]
-
-
 def grey_row(mus, j: int) -> bytearray:
     """The P6 bytes of class ``j``'s membership per spot in grey, 0 -> black, 1 -> white.
 
-    Values outside [0,1], which only grids built through the API can
-    hold, are clamped; nan raises ValueError.
+    A spot's grey level is round(mu * 255); memberships are in [0,1], as
+    read_grid_rows checks them.
     """
-    try:
-        levels = bytes([round(mu[j] * 255) for mu in mus])
-    except (ValueError, OverflowError):  # a level outside 0..255, or nan, which clamping keeps
-        levels = bytes([round(min(max(mu[j], 0.0), 1.0) * 255) for mu in mus])
+    levels = bytes([round(mu[j] * 255) for mu in mus])
     row = bytearray(3 * len(levels))
     row[0::3] = row[1::3] = row[2::3] = levels
     return row
-
-
-def render_membership_map(grid: SampleGrid, gamma: str):
-    """Grayscale view of one class's membership over the grid; see grey_row."""
-    return [_GREY[g] for g in grey_row([(spot.membership[gamma],) for spot in grid.spots], 0)[::3]]
 
 
 def load_palette(text: str):

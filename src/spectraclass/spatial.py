@@ -32,6 +32,8 @@ class Spot:
 
 @dataclass
 class SampleGrid:
+    """Spots in row-major order, each with a membership in [0,1] for every class code; checked when built."""
+
     topology: str
     rows: int
     cols: int
@@ -40,6 +42,13 @@ class SampleGrid:
 
     def __post_init__(self):
         _check_shape(self.topology, self.rows, self.cols, len(self.spots))
+        for i, spot in enumerate(self.spots):
+            for code in self.class_codes:
+                if code not in spot.membership:
+                    raise ValueError(f"spot {i} has no membership for class {code!r}")
+                if not 0.0 <= spot.membership[code] <= 1.0:  # also false for nan
+                    raise ValueError(f"spot {i}: membership of class {code!r} "
+                                     f"is {spot.membership[code]}, outside [0,1]")
 
 
 def _check_shape(topology: str, rows: int, cols: int, n_spots: int) -> None:
@@ -75,18 +84,6 @@ def neighbors(grid: SampleGrid, i: int):
     return out
 
 
-def smoothed_membership(grid: SampleGrid, i: int, gamma: str) -> float:
-    """Spot membership plus the average over its neighbors; range [0, 2].
-
-    A 1x1 grid has no neighbors and falls back to the raw value.
-    """
-    ns = neighbors(grid, i)
-    mu = grid.spots[i].membership[gamma]
-    if not ns:
-        return mu
-    return mu + sum(grid.spots[j].membership[gamma] for j in ns) / len(ns)
-
-
 @dataclass(slots=True)
 class MapCell:
     label: str
@@ -111,7 +108,7 @@ def _harden(mus, nu: float):
             [best if best >= nu else 1.0 - best for best in bests])
 
 
-def _cells(class_codes, labels, confs, assigned=()) -> list:
+def _cells(class_codes, labels, confs, assigned) -> list:
     """The MapCells of one row's label and confidence columns."""
     names = [*class_codes, UNK]
     cells = [MapCell(names[k], conf) for k, conf in zip(labels, confs)]
@@ -129,14 +126,6 @@ def _grid_rows(grid: SampleGrid):
                [[s.membership[c] for c in codes] for s in spots])
 
 
-def classify_spots(grid: SampleGrid, nu: float) -> ClassificationMap:
-    """Hard classification of every spot from raw memberships only."""
-    cells = []
-    for _, _, _, mus in _grid_rows(grid):
-        cells += _cells(grid.class_codes, *_harden(mus, nu))
-    return ClassificationMap(cells)
-
-
 def map_rows(topology: str, rows, nu: float, floor: Optional[float] = None):
     """Harden and smooth a grid row by row: yield ``(row, pre, post)`` for each row.
 
@@ -144,17 +133,19 @@ def map_rows(topology: str, rows, nu: float, floor: Optional[float] = None):
     as read_grid_rows yields them. Row r is hardened and smoothed once row
     r+1 is read, so only rows r-1, r and r+1 are held. ``pre`` is row r's
     ``(labels, confs)`` columns before smoothing and ``post`` its
-    ``(labels, confs, assigned)`` after, as classify_spots and
-    reclassify_map define them: a label is an index into the grid's
-    class codes, -1 for UNK, and ``assigned`` lists the indices of the
-    neighbor-assigned spots, the ones below nu. Every other spot keeps
-    its pre label and confidence.
+    ``(labels, confs, assigned)`` after. A label is an index into the
+    grid's class codes, -1 for UNK, and ``assigned`` lists the indices of
+    the neighbor-assigned spots, the ones below nu.
 
-    Each smoothed value is the one smoothed_membership() gives, bit for
-    bit: the neighbors are listed once per spot, in neighbors() order,
-    and summed per class in that order. A spot off the border finds them
-    at fixed offsets in the three-row window; border spots drop the steps
-    that leave the grid.
+    Pre labels and confidences are _harden()'s; every spot at or above nu
+    keeps them after smoothing. A spot below nu adds to each class's raw
+    membership the mean of its neighbors' raw memberships of that class,
+    summed in neighbors() order (a spot with no neighbors keeps its raw
+    values), and takes the best smoothed class, the first of equal ones,
+    with that value as confidence, which may exceed 1; unless the best is
+    below ``floor``, when it stays UNK with its pre confidence. A spot off
+    the border finds its neighbors at fixed offsets in the three-row
+    window; border spots drop the steps that leave the grid.
     """
     smoothed_nu = -math.inf if floor is None else floor
     rows = iter(rows)
@@ -192,16 +183,16 @@ def map_rows(topology: str, rows, nu: float, floor: Optional[float] = None):
 
 
 def reclassify_map(grid: SampleGrid, nu: float, floor: Optional[float] = None) -> ClassificationMap:
-    """Hard classification with neighbor smoothing for sub-nu spots.
+    """Hard classification with neighbor smoothing for sub-nu spots: map_rows() over the grid.
 
     Confident spots keep their raw argmax label. Indeterminate spots take
-    the argmax over neighbor-smoothed memberships instead; smoothing reads
-    raw values only, in one pass, so it never cascades. The smoothed pick
-    always yields a class; ``floor`` optionally keeps a spot UNK when even
-    the best smoothed value stays below it (off by default), with the raw
-    confidence 1 - raw best. The stored confidence of a neighbor-assigned
-    class is the smoothed value and may exceed 1. The grid is smoothed
-    row by row through map_rows.
+    the argmax over their raw memberships plus the mean of their
+    neighbors', summed per class in neighbors() order; smoothing reads raw
+    values only, in one pass, so it never cascades. ``floor`` optionally
+    keeps a spot UNK when even the best smoothed value stays below it,
+    with the raw confidence 1 - raw best. The confidence of a
+    neighbor-assigned class is the smoothed value and may exceed 1.
+    Classes are read in ``class_codes`` order, so ties break by it.
     """
     cells = []
     for _, _, post in map_rows(grid.topology, _grid_rows(grid), nu, floor):
@@ -408,20 +399,3 @@ def map_csv_lines(names, xs, ys, pre, post) -> tuple:
         lines[i] = f"{xy[i]}{names[labels[i]]},{fmt(confs[i])},true\n"
     return pre_text, "".join(lines)
 
-
-def write_map_csv(grid: SampleGrid, outputs) -> None:
-    """Write each ``(cmap, stream)`` pair of ``outputs`` as a map CSV, one grid row at a time."""
-    outputs = list(outputs)
-    for _, stream in outputs:
-        stream.write(MAP_CSV_HEADER)
-    cols = grid.cols
-    for start in range(0, len(grid.spots), cols):
-        spots = grid.spots[start:start + cols]
-        xs, ys = [s.x for s in spots], [s.y for s in spots]
-        for cmap, stream in outputs:
-            cells = cmap.cells[start:start + cols]
-            own = range(len(cells))  # label k is cell k's own label
-            confs = [cell.confidence for cell in cells]
-            assigned = [i for i, cell in enumerate(cells) if cell.neighbor_assigned]
-            labels = [cell.label for cell in cells]
-            stream.write(map_csv_lines(labels, xs, ys, (own, confs), (own, confs, assigned))[1])

@@ -235,12 +235,3 @@ def scale_factor(s: Spectrum, excluded: Iterable[IonTarget] = (), eps: float = 0
         raise CannotNormalize(f"peak abundance {s.max_abundance} overflows when scaled by {factor}")
     return factor
 
-
-def peak_abundance(s: Spectrum, chi: IonTarget, eps: float) -> float:
-    """Maximum abundance in the window_slice() of ``chi``; an empty window yields 0, not an error."""
-    if not 0.0 <= eps < math.inf:  # also false for nan
-        raise DomainError(f"eps must be finite and non-negative, got {eps}")
-    lo, hi = window_slice(s.mzs, chi.mz, eps)
-    if lo >= hi:
-        return 0.0
-    return max(ab for _, ab in s.points[lo:hi])

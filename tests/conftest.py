@@ -2,8 +2,10 @@
 
 import pytest
 
-from spectraclass.rulebase import builtin_basalt
-from spectraclass.spectrum import Spectrum
+from spectraclass.classify import compile_rules
+from spectraclass.fuzzy import MembershipFn, Term
+from spectraclass.rulebase import ClassRule, RuleBase, builtin_basalt
+from spectraclass.spectrum import IonTarget, Spectrum
 
 # m/z of a filler peak outside every rule window; pinned at 100 so the
 # synthetic spectra are already on the relative-abundance scale.
@@ -34,6 +36,28 @@ def make_spectrum(abundances, id="", position=None, filler=100.0):
 def spectrum_csv(abundances, filler=100.0):
     s = make_spectrum(abundances, filler=filler)
     return "".join(f"{mz},{ab}\n" for mz, ab in s.points)
+
+
+def term_memberships(thresholds):
+    """``ps -> (highs, lows)``: memberships of abundances p >= 0 in high and low terms, through compile_rules.
+
+    Term k has the thresholds ``thresholds[k]``, an ``(l, h)`` pair with
+    l < h, and reads its own ion, at m/z k + 1; one class holds each term.
+    The spectrum's peaks are ``ps[k]`` at term k's ion, and its scale
+    factor is given as 1.
+    """
+    ions = [IonTarget(f"X{k}", k + 1.0) for k in range(len(thresholds))]
+    rb = RuleBase("terms", {x.symbol: x.mz for x in ions},
+                  [ClassRule(f"{polarity} {x.symbol}", polarity,
+                             {"t": (x, MembershipFn(polarity, l, h))}, Term("t"))
+                   for polarity in ("high", "low") for x, (l, h) in zip(ions, thresholds)])
+    classify_spectrum = compile_rules(rb)
+
+    def memberships(ps):
+        spectrum = Spectrum(tuple((x.mz, p) for x, p in zip(ions, ps)))
+        values = list(classify_spectrum(spectrum, 1.0).values.values())
+        return values[:len(ions)], values[len(ions):]
+    return memberships
 
 
 @pytest.fixture

@@ -1,0 +1,108 @@
+"""Plain definitions that the tests compare the package's fast paths against.
+
+- eval_expr() walks an expression tree through f_and(), f_or() and
+  f_not(), with membership() as each term's law and peak_abundance() as
+  each ion's lookup; classify.compile_rules() and fuzzy.compile_expr()
+  must equal them bit for bit;
+- smoothed_membership() smooths one spot's membership of one class, and
+  render_class_map(), render_membership_map() and write_ppm() draw whole
+  maps; the files `map` writes row by row must equal them byte for byte.
+"""
+
+import math
+from itertools import chain
+
+from spectraclass.errors import DomainError
+from spectraclass.fuzzy import And, Not, Or, Term
+from spectraclass.pixmap import BASALT_PALETTE
+from spectraclass.spatial import neighbors
+from spectraclass.spectrum import window_slice
+
+
+def membership(fn, p: float) -> float:
+    """The membership of abundance ``p`` in the MembershipFn ``fn``."""
+    if p < fn.l:
+        high = 0.0
+    elif p >= fn.h:
+        high = 1.0
+    else:
+        high = (p - fn.l) / (fn.h - fn.l)
+    return high if fn.polarity == "high" else 1.0 - high
+
+
+def f_not(a: float) -> float:
+    return 1.0 - a
+
+
+def f_and(*values: float) -> float:
+    """Product t-norm, folded left; identity is 1."""
+    out = 1.0
+    for v in values:
+        out = out * v
+    return out
+
+
+def f_or(*values: float) -> float:
+    """Probabilistic sum, folded left; identity is 0."""
+    out = 0.0
+    for v in values:
+        if v == 1.0 or out == 1.0:
+            # keep the absorbing element exact; a + 1 - a drops a ulp
+            out = 1.0
+        else:
+            out = min(out + v - out * v, 1.0)
+    return out
+
+
+def eval_expr(expr, env: dict) -> float:
+    """Evaluate an expression tree against term truth values in [0,1]."""
+    if isinstance(expr, Term):
+        return env[expr.name]
+    if isinstance(expr, And):
+        return f_and(*(eval_expr(c, env) for c in expr.children))
+    if isinstance(expr, Or):
+        return f_or(*(eval_expr(c, env) for c in expr.children))
+    if isinstance(expr, Not):
+        return f_not(eval_expr(expr.child, env))
+    raise TypeError(f"not an expression node: {expr!r}")
+
+
+def peak_abundance(s, chi, eps: float) -> float:
+    """Maximum abundance in the window_slice() of ``chi``; an empty window yields 0, not an error."""
+    if not 0.0 <= eps < math.inf:  # also false for nan
+        raise DomainError(f"eps must be finite and non-negative, got {eps}")
+    lo, hi = window_slice(s.mzs, chi.mz, eps)
+    if lo >= hi:
+        return 0.0
+    return max(ab for _, ab in s.points[lo:hi])
+
+
+def smoothed_membership(grid, i: int, gamma: str) -> float:
+    """Spot membership plus the average over its neighbors; range [0, 2].
+
+    A 1x1 grid has no neighbors and falls back to the raw value.
+    """
+    ns = neighbors(grid, i)
+    mu = grid.spots[i].membership[gamma]
+    if not ns:
+        return mu
+    return mu + sum(grid.spots[j].membership[gamma] for j in ns) / len(ns)
+
+
+def write_ppm(stream, width: int, height: int, pixels) -> None:
+    """Write a P6 pixmap; ``pixels`` is a row-major list of RGB triples."""
+    if len(pixels) != width * height:
+        raise ValueError(f"expected {width * height} pixels, got {len(pixels)}")
+    stream.write(f"P6\n{width} {height}\n255\n".encode("ascii"))
+    stream.write(bytes(chain.from_iterable(pixels)))
+
+
+def render_class_map(cells, palette=None) -> list:
+    """One pixel per MapCell, colored by its label: ``palette`` over BASALT_PALETTE, else grey."""
+    pal = {**BASALT_PALETTE, **(palette or {})}
+    return [pal.get(cell.label, (128, 128, 128)) for cell in cells]
+
+
+def render_membership_map(grid, gamma: str) -> list:
+    """One grey pixel per spot: class ``gamma``'s membership times 255, rounded."""
+    return [(g, g, g) for g in (round(spot.membership[gamma] * 255) for spot in grid.spots)]

@@ -8,12 +8,12 @@ import time
 
 import pytest
 
-from conftest import make_spectrum, spectrum_csv
+from conftest import make_spectrum, spectrum_csv, term_memberships
 from spectraclass.classify import classify_batch, harden, memberships
 from spectraclass.cli import main
-from spectraclass.fuzzy import f_and, f_not, f_or, mu_high, mu_low
+from spectraclass.fuzzy import And, Not, Or, Term, compile_expr
 from spectraclass.rulebase import builtin_basalt, parse_rulebase, serialize_rulebase
-from spectraclass.spatial import Spot, SampleGrid, classify_spots, reclassify_map
+from spectraclass.spatial import Spot, SampleGrid, map_rows, reclassify_map
 from spectraclass.spectrum import Spectrum
 from spectraclass.stats import build_statdb, class_vs_ensemble_report, peak_list
 
@@ -26,11 +26,16 @@ def _report(n, desc, t0, limit):
 
 def test_criterion_1_fuzzy_algebra_exactness():
     t0 = time.perf_counter()
-    assert f_and(0.9, 0.9) == 0.81
+    a, b = Term("a"), Term("b")
+    index = {"a": 0, "b": 1}
+    f_and = compile_expr(And((a, b)), index)
+    not_and = compile_expr(Not(And((a, b))), index)
+    or_not = compile_expr(Or((Not(a), Not(b))), index)
+    assert f_and([0.9, 0.9]) == 0.81
     rng = random.Random(0)
     for _ in range(100_000):
-        a, b = rng.random(), rng.random()
-        assert abs(f_not(f_and(a, b)) - f_or(f_not(a), f_not(b))) <= 1e-15
+        values = [rng.random(), rng.random()]
+        assert abs(not_and(values) - or_not(values)) <= 1e-15
     _report(1, "fuzzy algebra exactness + De Morgan over 1e5 pairs", t0, 1.0)
 
 
@@ -70,17 +75,22 @@ def test_criterion_2_builtin_fidelity():
 def test_criterion_3_membership_law():
     t0 = time.perf_counter()
     rng = random.Random(1)
+    # 10,000 terms through compile_rules, on abundances a spectrum holds: p >= 0.
+    cases = []
     for _ in range(10_000):
-        l = rng.uniform(-50, 50)
+        l = rng.uniform(0, 100)
         h = l + rng.uniform(1e-6, 100)
-        p = rng.uniform(-100, 200)
-        assert mu_high(p, l, h) + mu_low(p, l, h) == 1.0
-        q = p + abs(rng.gauss(0, 10))
-        assert mu_high(p, l, h) <= mu_high(q, l, h)
-        assert mu_high(l, l, h) == 0.0
-        assert mu_high(h, l, h) == 1.0
-        mid = l + (h - l) / 2
-        assert mu_high(mid, l, h) == pytest.approx(0.5, abs=1e-9)
+        p = rng.uniform(0, 200)
+        cases.append((l, h, p, p + abs(rng.gauss(0, 10)), l + (h - l) / 2))
+    mu = term_memberships([(l, h) for l, h, *_ in cases])
+    mu_high, mu_low = mu([p for _, _, p, _, _ in cases])
+    (at_q, _), (at_l, _), (at_h, _), (at_mid, _) = (mu([case[k] for case in cases]) for k in (3, 0, 1, 4))
+    for k in range(len(cases)):
+        assert mu_high[k] + mu_low[k] == 1.0
+        assert mu_high[k] <= at_q[k]
+        assert at_l[k] == 0.0
+        assert at_h[k] == 1.0
+        assert at_mid[k] == pytest.approx(0.5, abs=1e-9)
     _report(3, "membership complement, monotonicity, boundary values", t0, 1.0)
 
 
@@ -143,13 +153,15 @@ def test_criterion_5_spatial_smoothing():
 
     rng = random.Random(6)
     for _ in range(1000):
-        ms = [Spot({c: rng.random() for c in codes}) for _ in range(12)]
-        g = SampleGrid(rng.choice(("rectangular", "hexagonal")), 3, 4, ms, codes)
-        pre = classify_spots(g, 0.5)
+        mus = [[rng.random() for _ in codes] for _ in range(12)]
+        topology = rng.choice(("rectangular", "hexagonal"))
+        g = SampleGrid(topology, 3, 4, [Spot(dict(zip(codes, mu))) for mu in mus], codes)
+        rows = [([""] * 4, [0.0] * 4, [0.0] * 4, mus[r * 4:r * 4 + 4]) for r in range(3)]
+        pre = [k for _, (labels, _), _ in map_rows(topology, rows, 0.5) for k in labels]
         post = reclassify_map(g, 0.5)
-        for p, q in zip(pre.cells, post.cells):
-            if p.label != "UNK":
-                assert q.label == p.label
+        for k, q in zip(pre, post.cells):
+            if k >= 0:  # not UNK
+                assert q.label == codes[k]
     _report(5, "3x3 smoothing oracle + confident spots stable over 1e3 grids", t0, 5.0)
 
 

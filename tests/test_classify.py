@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from conftest import ION_MZ, make_spectrum, spectrum_csv
+from reference import eval_expr, membership, peak_abundance
 from spectraclass import classify
 from spectraclass.classify import (
     Classification,
@@ -29,9 +30,9 @@ from spectraclass.errors import (
     NoClasses,
     UnknownTerm,
 )
-from spectraclass.fuzzy import And, MembershipFn, Not, Or, Term, eval_expr
+from spectraclass.fuzzy import And, MembershipFn, Not, Or, Term
 from spectraclass.rulebase import ClassRule, Options, RuleBase, builtin_basalt
-from spectraclass.spectrum import IonTarget, Spectrum, normalize, peak_abundance
+from spectraclass.spectrum import IonTarget, Spectrum, normalize
 
 
 class TestMemberships:
@@ -76,7 +77,7 @@ def composed_memberships(s, rb):
     """The reference: normalize, then look every term's ion up, then evaluate."""
     eps = rb.options.epsilon
     n = normalize(s, rb.excluded_ions(), eps)
-    return {cr.code: eval_expr(cr.expr, {name: fn(peak_abundance(n, ion, eps))
+    return {cr.code: eval_expr(cr.expr, {name: membership(fn, peak_abundance(n, ion, eps))
                                          for name, (ion, fn) in cr.terms.items()})
             for cr in rb.classes}
 

@@ -4,6 +4,7 @@ import errno
 import io
 import os
 import random
+import stat
 import tempfile
 import tracemalloc
 from pathlib import Path
@@ -179,27 +180,12 @@ class TestClassifyStreaming:
 
     def test_peak_does_not_grow_with_the_batch(self, tmp_path):
         # Rows are written as they are classified; only the input path lists grow.
-        # Spectra have 30 peaks, as on classify-sparse: a freed tuple of fewer
-        # than 20 points stays on the interpreter's free list, which tracemalloc counts.
-        rng = random.Random(0)
-        d = tmp_path / "in"
-        d.mkdir()
-        paths = []
-        for i in range(1000):
-            paths.append(str(d / f"s{i:04}.csv"))
-            Path(paths[-1]).write_text("".join(
-                f"{10 + 5 * k + rng.uniform(-1, 1)!r},{rng.uniform(1, 100)!r}\n" for k in range(30)))
-        out = str(tmp_path / "batch.csv")
-        assert main(["classify", *paths[:10], "--out", out]) == EX_OK
-        peaks = []
-        for n in (250, 1000):
-            argv = ["classify", *paths[:n], "--out", out]
-            tracemalloc.start()
-            try:
-                assert main(argv) == EX_OK
-                peaks.append(tracemalloc.get_traced_memory()[1])
-            finally:
-                tracemalloc.stop()
+        peaks = classify_peaks(tmp_path)
+        assert (peaks[1] - peaks[0]) / 750 < 100, peaks
+
+    def test_peak_does_not_grow_with_the_batch_on_two_workers(self, tmp_path):
+        # The pool is handed a fixed number of files at a time, so it holds that many results.
+        peaks = classify_peaks(tmp_path, "--workers", "2")
         assert (peaks[1] - peaks[0]) / 750 < 100, peaks
 
     def test_interrupted_run_leaves_the_old_out(self, spectra_dir, tmp_path, monkeypatch):
@@ -232,6 +218,12 @@ class TestClassifyStreaming:
         assert capsys.readouterr() == ("", f"spectraclass: error: [Errno 21] Is a directory: '{out}'\n")
         assert list(out.iterdir()) == []
 
+    def test_out_through_a_symlink(self, spectra_dir, tmp_path, capsys):
+        link, real = symlinked_out(tmp_path, "batch.csv")
+        for out in (tmp_path / "plain.csv", link):
+            assert main(["classify", str(spectra_dir / "*.csv"), "--out", str(out)]) == EX_OK
+        assert_written_through(link, real, (tmp_path / "plain.csv").read_bytes())
+
     def test_same_bytes_with_and_without_out_for_any_workers(self, spectra_dir, tmp_path, capsys):
         (spectra_dir / "broken.csv").write_text("26.98,abc\n")
         (spectra_dir / "empty.csv").write_text("")
@@ -256,6 +248,56 @@ class TestClassifyStreaming:
             "ILM: 1  AGT: 1  PLG: 1  OLV: 1  UNK: 0  errors: 2\n"
             f"error: {spectra_dir}/broken.csv: non-numeric field in '26.98,abc' (line 1)\n"
             f"error: {spectra_dir}/empty.csv: {runs_error(spectra_dir / 'empty.csv')}\n")
+
+
+def symlinked_out(tmp_path, name):
+    """``(link, file)``: ``o/<name>``, a relative symlink to the file ``real`` beside ``o``.
+
+    The file holds old bytes at mode 0o640, not the mode a new file gets.
+    """
+    real = tmp_path / "real"
+    real.write_bytes(b"old\r\n")
+    real.chmod(0o640)
+    link = tmp_path / "o" / name
+    link.parent.mkdir(exist_ok=True)
+    link.symlink_to(os.path.join("..", "real"))
+    return link, real
+
+
+def assert_written_through(link, real, expected):
+    """``link`` still links to ``real``, which now holds ``expected`` at its old mode; no copy is left staged."""
+    assert link.is_symlink() and os.readlink(link) == os.path.join("..", "real")
+    assert real.read_bytes() == expected
+    assert stat.S_IMODE(real.stat().st_mode) == 0o640
+    assert list(real.parent.glob("**/.*.part")) == []
+
+
+def classify_peaks(tmp_path, *options):
+    """The tracemalloc peaks of `classify --out` over 250 and 1,000 spectra, with ``options``.
+
+    Spectra have 30 peaks, as on classify-sparse: a freed tuple of fewer
+    than 20 points stays on the interpreter's free list, which tracemalloc counts.
+    """
+    rng = random.Random(0)
+    d = tmp_path / "in"
+    d.mkdir()
+    paths = []
+    for i in range(1000):
+        paths.append(str(d / f"s{i:04}.csv"))
+        Path(paths[-1]).write_text("".join(
+            f"{10 + 5 * k + rng.uniform(-1, 1)!r},{rng.uniform(1, 100)!r}\n" for k in range(30)))
+    out = str(tmp_path / "batch.csv")
+    assert main(["classify", *paths[:10], *options, "--out", out]) == EX_OK
+    peaks = []
+    for n in (250, 1000):
+        argv = ["classify", *paths[:n], *options, "--out", out]
+        tracemalloc.start()
+        try:
+            assert main(argv) == EX_OK
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    return peaks
 
 
 def runs_error(path):
@@ -418,6 +460,13 @@ class TestStatsCmd:
             ["== a (1 spectra) vs ensemble (2) ==", "== b (1 spectra) vs ensemble (2) =="]
         assert sorted(p.name for p in rep.iterdir()) == ["a_report.csv", "b_report.csv"]
         assert (rep / f"{old}_report.csv").read_bytes() == b"old\r\n"
+
+    def test_out_through_a_symlink(self, spectra_dir, tmp_path, capsys):
+        link, real = symlinked_out(tmp_path, "spectra_report.csv")
+        for out in (tmp_path / "plain", link.parent):
+            argv = ["stats", str(spectra_dir / "*.csv"), "--group-by", "directory", "--out", str(out)]
+            assert main(argv) == EX_OK
+        assert_written_through(link, real, (tmp_path / "plain" / "spectra_report.csv").read_bytes())
 
     def test_peak_grows_by_the_peak_columns(self, tmp_path, capsys):
         # A consolidated peak is held as 16 bytes of float columns; only one
@@ -833,6 +882,13 @@ class TestMapStreaming:
         self._fatal(["map", str(grid_file(tmp_path)), "--out", str(out)], capsys,
                     f"[Errno 13] Permission denied: '{out}/pre.csv'")
         assert list(out.iterdir()) == []
+
+    def test_out_through_a_symlink(self, tmp_path, capsys):
+        link, real = symlinked_out(tmp_path, "pre.csv")
+        grid = grid_file(tmp_path)
+        for out in (tmp_path / "plain", link.parent):
+            assert main(["map", str(grid), "--out", str(out)]) == EX_OK
+        assert_written_through(link, real, (tmp_path / "plain" / "pre.csv").read_bytes())
 
 
 class TestValidateCmd:

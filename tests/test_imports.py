@@ -1,4 +1,5 @@
-"""Every import in the package's modules is used, the runtime is pure stdlib, and the CLI imports no thread pool."""
+"""Every import and top-level definition in the package's modules is used, the runtime is pure
+stdlib, and the CLI imports no thread pool."""
 
 import ast
 import os
@@ -37,6 +38,48 @@ def test_finds_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def unreferenced_definitions(sources: dict) -> list:
+    """``module.name`` of each top-level function or class in ``{module: source}`` that no code names.
+
+    A name counts as referenced where another module reads it, imports it
+    or reads it as an attribute, or where its own module does so outside
+    its definition; docstrings and comments do not count.
+    """
+    def names(node):
+        out = set()
+        for n in ast.walk(node):
+            if isinstance(n, ast.Name):
+                out.add(n.id)
+            elif isinstance(n, ast.Attribute):
+                out.add(n.attr)
+            elif isinstance(n, (ast.Import, ast.ImportFrom)):
+                out.update(alias.name.rpartition(".")[2] for alias in n.names)
+        return out
+
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    dead = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                continue
+            elsewhere = [other for other in tree.body if other is not node]
+            elsewhere += [other for name, other in trees.items() if name != module]
+            if not any(node.name in names(other) for other in elsewhere):
+                dead.append(f"{module}.{node.name}")
+    return dead
+
+
+def test_finds_an_unreferenced_definition():
+    sources = {"a": "def f():\n    return f()\n\ndef g():\n    pass\n\nclass C:\n    pass\n\nx = C()\n",
+               "b": 'from .a import g\n\ndef h():\n    """Calls f()."""\n\nimport m\nm.h\n'}
+    assert unreferenced_definitions(sources) == ["a.f"]
+
+
+def test_no_unreferenced_definitions():
+    sources = {p.stem: p.read_text(encoding="utf-8") for p in ALL_MODULES}
+    assert unreferenced_definitions(sources) == []
 
 
 def absolute_imports(source: str) -> list:

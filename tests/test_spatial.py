@@ -2,6 +2,7 @@ import contextlib
 import io
 import math
 import random
+import re
 import tempfile
 from pathlib import Path
 from unittest import mock
@@ -9,24 +10,20 @@ from unittest import mock
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from reference import render_class_map, render_membership_map, smoothed_membership, write_ppm
 from spectraclass import spatial
 from spectraclass.classify import UNK, fmt, harden_values
 from spectraclass.cli import main
 from spectraclass.errors import BadIndex, DuplicateName, ParseError
-from spectraclass.pixmap import render_class_map, render_membership_map, write_ppm
 from spectraclass.spatial import (
     HEXAGONAL,
     RECTANGULAR,
-    ClassificationMap,
     MapCell,
     SampleGrid,
     Spot,
-    classify_spots,
     neighbors,
     read_grid_csv,
     reclassify_map,
-    smoothed_membership,
-    write_map_csv,
 )
 
 CODES = ["ILM", "AGT", "PLG", "OLV"]
@@ -39,6 +36,18 @@ def grid_from(rows, cols, memberships, topology=RECTANGULAR):
 
 def uniform(value, codes=CODES):
     return {c: value for c in codes}
+
+
+def pre_labels(grid, nu):
+    """The labels of `map`'s pre map: map_rows' pre columns over ``grid``, as class codes."""
+    names = [*grid.class_codes, UNK]
+    rows = spatial.map_rows(grid.topology, spatial._grid_rows(grid), nu)
+    return [names[k] for _, (labels, _), _ in rows for k in labels]
+
+
+def smoothed_best(grid, i):
+    """Spot i's best smoothed membership: its post confidence when nu = 1 smooths every spot below 1."""
+    return reclassify_map(grid, 1.0).cells[i].confidence
 
 
 def ring_grid(center_agt=0.3, ring_agt=0.9):
@@ -78,11 +87,11 @@ class TestNeighbors:
 class TestSmoothing:
     def test_full_ring(self):
         g = ring_grid()
-        assert smoothed_membership(g, 4, "AGT") == pytest.approx(0.3 + 7.2 / 8, abs=1e-12)
+        assert smoothed_best(g, 4) == pytest.approx(0.3 + 7.2 / 8, abs=1e-12)
 
     def test_all_zero(self):
         g = grid_from(3, 3, [uniform(0.0)] * 9)
-        assert smoothed_membership(g, 4, "AGT") == 0.0
+        assert smoothed_best(g, 4) == 0.0
 
     def test_corner_reduced_n(self):
         ms = [uniform(0.0) for _ in range(9)]
@@ -90,11 +99,11 @@ class TestSmoothing:
         for j in (1, 3, 4):
             ms[j] = {"ILM": 0.0, "AGT": 0.6, "PLG": 0.0, "OLV": 0.0}
         g = grid_from(3, 3, ms)
-        assert smoothed_membership(g, 0, "AGT") == pytest.approx(0.9, abs=1e-12)
+        assert smoothed_best(g, 0) == pytest.approx(0.9, abs=1e-12)
 
     def test_isolated_spot_falls_back(self):
         g = SampleGrid(RECTANGULAR, 1, 1, [Spot(uniform(0.4))], CODES)
-        assert smoothed_membership(g, 0, "AGT") == 0.4
+        assert smoothed_best(g, 0) == 0.4
 
 
 class TestReclassify:
@@ -109,9 +118,8 @@ class TestReclassify:
 
     def test_no_unk_is_noop(self):
         g = ring_grid(center_agt=0.8)
-        pre = classify_spots(g, 0.5)
         post = reclassify_map(g, 0.5)
-        assert [c.label for c in pre.cells] == [c.label for c in post.cells]
+        assert pre_labels(g, 0.5) == [c.label for c in post.cells]
         assert not any(c.neighbor_assigned for c in post.cells)
 
     def test_all_unk_neighbors_still_assigns(self):
@@ -135,8 +143,7 @@ class TestReclassify:
     def test_ties_break_in_class_code_order(self):
         # dict order is the reverse of CODES; CODES order must win
         confident = [{"OLV": 0.0, "PLG": 0.0, "AGT": 0.8, "ILM": 0.8}] * 4
-        pre = classify_spots(grid_from(2, 2, confident), 0.5)
-        assert [c.label for c in pre.cells] == ["ILM"] * 4
+        assert pre_labels(grid_from(2, 2, confident), 0.5) == ["ILM"] * 4
         weak = [{"OLV": 0.0, "PLG": 0.0, "AGT": 0.2, "ILM": 0.2}] * 4
         post = reclassify_map(grid_from(2, 2, weak), 0.5)
         assert [c.label for c in post.cells] == ["ILM"] * 4
@@ -147,11 +154,10 @@ class TestReclassify:
         for _ in range(200):
             ms = [{c: rng.random() for c in CODES} for _ in range(12)]
             g = grid_from(3, 4, ms, topology=rng.choice((RECTANGULAR, HEXAGONAL)))
-            pre = classify_spots(g, 0.5)
             post = reclassify_map(g, 0.5)
-            for p, q in zip(pre.cells, post.cells):
-                if p.label != "UNK":
-                    assert q.label == p.label
+            for p, q in zip(pre_labels(g, 0.5), post.cells):
+                if p != "UNK":
+                    assert q.label == p
                     assert not q.neighbor_assigned
 
     def test_single_pass_idempotent(self):
@@ -199,34 +205,6 @@ class TestGridIO:
     def test_wrong_spot_count(self):
         with pytest.raises(ValueError):
             read_grid_csv(GRID_CSV.replace("# rows: 2", "# rows: 3"))
-
-    def test_write_map_csv(self):
-        g = read_grid_csv(GRID_CSV)
-        cmap = reclassify_map(g, 0.5)
-        buf = io.StringIO()
-        write_map_csv(g, [(cmap, buf)])
-        lines = buf.getvalue().splitlines()
-        assert lines[0] == "x,y,label,confidence,neighbor_assigned"
-        assert len(lines) == 5
-        assert lines[3].split(",")[4] == "true"  # spot c was below nu
-
-    def test_write_map_csv_one_pass_equals_one_map_at_a_time(self):
-        g = read_grid_csv(GRID_CSV)
-        pre = classify_spots(g, 0.5)
-        # Confident spots share their cell with pre, as in the maps `map` writes.
-        post = ClassificationMap([p if p.label != UNK else q
-                                  for p, q in zip(pre.cells, reclassify_map(g, 0.5).cells)])
-        maps = (pre, post, pre)  # pre again after a map that shares only some cells
-        alone = []
-        for cmap in maps:
-            buf = io.StringIO()
-            write_map_csv(g, [(cmap, buf)])
-            alone.append(buf.getvalue())
-        bufs = [io.StringIO() for _ in maps]
-        write_map_csv(g, list(zip(maps, bufs)))
-        assert [b.getvalue() for b in bufs] == alone
-        assert alone[0].splitlines()[3] == "0,1,UNK,0.7,false"
-        assert alone[1].splitlines()[3] == "0,1,ILM,0.866667,true"
 
     def test_headers_after_data_rows_honored(self):
         head, body = GRID_CSV.split("id,", 1)
@@ -289,18 +267,21 @@ class TestApiGrid:
         weak = {"OLV": 0.0, "PLG": 0.1, "AGT": 0.2, "ILM": 0.2}
         g = grid_from(2, 2, [weak] * 4)
         assert g.spots[0].membership == weak
-        assert [c.label for c in classify_spots(g, 0.2).cells] == ["ILM"] * 4
+        assert pre_labels(g, 0.2) == ["ILM"] * 4
         assert [c.label for c in reclassify_map(g, 0.5).cells] == ["ILM"] * 4
 
-    def test_render_clamps_values_outside_unit_interval(self):
-        g = grid_from(1, 4, [uniform(v) for v in (-0.2, 1.5, -0.0, 0.5)])
-        assert render_membership_map(g, "AGT") == [(0, 0, 0), (255, 255, 255), (0, 0, 0),
-                                                   (128, 128, 128)]
-
-    def test_render_nan_raises(self):
-        g = grid_from(1, 2, [uniform(0.5), uniform(math.nan)])
-        with pytest.raises(ValueError):
-            render_membership_map(g, "AGT")
+    @pytest.mark.parametrize("spots,message", [
+        ([Spot({"A": math.nan, "B": math.nan}), Spot({"A": 1.7, "B": -3.0})],
+         "spot 0: membership of class 'A' is nan, outside [0,1]"),
+        ([Spot({"A": 0.5, "B": 0.5}), Spot({"A": 1.7, "B": -3.0})],
+         "spot 1: membership of class 'A' is 1.7, outside [0,1]"),
+        ([Spot({"A": 0.5, "B": 0.5}), Spot({"A": 0.5, "B": -3.0})],
+         "spot 1: membership of class 'B' is -3.0, outside [0,1]"),
+        ([Spot({"A": 0.5, "B": 0.5}), Spot({"A": 0.5})], "spot 1 has no membership for class 'B'"),
+    ], ids=["nan", "above-1", "below-0", "missing"])
+    def test_membership_missing_or_outside_unit_interval_rejected(self, spots, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            SampleGrid(RECTANGULAR, 1, 2, spots, ["A", "B"])
 
 
 def reference_map(grid, nu, floor):
@@ -423,8 +404,8 @@ def expected_map_files(grid, nu, floor, palette):
     pre = [MapCell(*harden_values(s.membership, nu)) for s in grid.spots]
     post = reference_map(grid, nu, floor)
     files = {"pre.csv": csv_text(pre).encode(), "post.csv": csv_text(post).encode(),
-             "pre.ppm": ppm(render_class_map(ClassificationMap(pre), palette)),
-             "post.ppm": ppm(render_class_map(ClassificationMap(post), palette))}
+             "pre.ppm": ppm(render_class_map(pre, palette)),
+             "post.ppm": ppm(render_class_map(post, palette))}
     for code in grid.class_codes:
         files[f"mu_{code}.ppm"] = ppm(render_membership_map(grid, code))
     return files, sum(c.neighbor_assigned for c in post)

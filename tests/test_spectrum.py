@@ -3,6 +3,7 @@ import math
 import pytest
 from hypothesis import example, given, strategies as st
 
+from reference import peak_abundance
 from spectraclass.errors import (
     CannotNormalize,
     DomainError,
@@ -16,7 +17,6 @@ from spectraclass.spectrum import (
     _parse_lines,
     normalize,
     parse_spectrum,
-    peak_abundance,
     scale_factor,
     serialize_spectrum,
 )
@@ -311,6 +311,8 @@ class TestNormalize:
 
 
 class TestPeakAbundance:
+    """The reference lookup, which test_classify checks compile_rules against, and normalize beside it."""
+
     def test_window_max(self):
         s = Spectrum(((47.90, 5.0), (47.96, 12.0), (48.30, 7.0)))
         assert peak_abundance(s, IonTarget("Ti", 47.95), 0.10) == 12.0
