@@ -5,10 +5,10 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from itertools import islice
-from pathlib import Path
 from typing import Optional
 
 from .errors import NoClasses, SpectraClassError
+from .files import read_text, stem
 from .fuzzy import compile_expr, term_names
 from .rulebase import UNK, RuleBase
 from .spectrum import Spectrum, parse_spectrum, scale_factor, window_slice
@@ -16,16 +16,23 @@ from .spectrum import Spectrum, parse_spectrum, scale_factor, window_slice
 
 @dataclass(frozen=True)
 class MembershipVector:
-    """Per-class membership values plus the derived unknown membership."""
+    """Per-class membership values, each in [0,1], and the unknown membership derived from them."""
 
     values: dict
-    unk: float
+
+    @property
+    def unk(self) -> float:
+        return 1.0 - max(self.values.values())
 
     @classmethod
     def from_values(cls, values: dict) -> "MembershipVector":
+        """The vector of a copy of ``values``; a membership outside [0,1] or nan is rejected."""
         if not values:
             raise NoClasses("membership vector needs at least one class")
-        return cls(dict(values), 1.0 - max(values.values()))
+        for code, value in values.items():
+            if not 0.0 <= value <= 1.0:  # also false for nan
+                raise ValueError(f"membership of class {code!r} is {value}, outside [0,1]")
+        return cls(dict(values))
 
 
 @dataclass(frozen=True)
@@ -88,7 +95,7 @@ def compile_rules(rb: RuleBase):
             x = p[slot]
             v = 0.0 if x < l else 1.0 if x >= h else (x - l) / span  # MembershipFn's law
             mu.append(v if high else 1.0 - v)
-        return MembershipVector.from_values({code: expr(mu) for code, expr in exprs})
+        return MembershipVector({code: expr(mu) for code, expr in exprs})
 
     return classify_spectrum
 
@@ -98,28 +105,20 @@ def memberships(s: Spectrum, rb: RuleBase) -> MembershipVector:
     return compile_rules(rb)(s)
 
 
-def harden_values(values: dict, nu: float) -> tuple:
-    """The hardening rule: ``(label, confidence)`` for ``{code: membership}``.
+def harden_list(mu, nu: float) -> tuple:
+    """The hardening rule: ``(index, confidence)`` of the membership list ``mu``, in class order.
 
-    The argmax class wins when its membership reaches nu (inclusive);
-    otherwise the label is UNK with confidence 1 - max. Ties break by the
-    dict's order, which callers keep in class declaration order.
+    The first best class wins if its membership reaches nu, with that
+    membership; otherwise the index is -1, for UNK, with 1 - best.
     """
-    if not values:
-        raise NoClasses("empty membership vector")
-    best_code = None
-    best = -1.0
-    for code, value in values.items():
-        if value > best:
-            best_code, best = code, value
-    if best < nu:
-        return UNK, 1.0 - best
-    return best_code, best
+    best = max(mu)
+    return (mu.index(best), best) if best >= nu else (-1, 1.0 - best)
 
 
 def harden(mv: MembershipVector, nu: float) -> Classification:
-    """Collapse a membership vector to a single label by harden_values()."""
-    return Classification(*harden_values(mv.values, nu))
+    """Collapse a membership vector to a single label by harden_list()."""
+    index, confidence = harden_list(list(mv.values.values()), nu)
+    return Classification([*mv.values, UNK][index], confidence)
 
 
 @dataclass
@@ -131,31 +130,13 @@ class BatchResult:
     error: Optional[str] = None
 
 
-def _stem(path: str) -> str:
-    """``Path(path).stem`` of a ``/``-separated path, without building a Path."""
-    name = next((part for part in reversed(path.split("/")) if part and part != "."), "")
-    i = name.rfind(".")
-    return name[:i] if 0 < i < len(name) - 1 else name
-
-
-def _read_text(path: str) -> str:
-    """The text of the file ``path``, and its errors, as ``Path(path).read_text`` gives them."""
-    try:
-        with open(path, encoding="utf-8") as f:
-            return f.read()
-    except OSError:
-        # Path names the file as it normalises it (./a.csv as a.csv): raise its error.
-        Path(path).read_text(encoding="utf-8")
-        raise
-
-
 def _source_id(source) -> str:
     """The id of a Spectrum, an (id, text) pair, or a file path (its stem)."""
     if isinstance(source, Spectrum):
         return source.id
     if isinstance(source, tuple):
         return source[0] if source else ""
-    return _stem(source)
+    return stem(source)
 
 
 def _resolve(source, sid: str) -> Spectrum:
@@ -164,7 +145,7 @@ def _resolve(source, sid: str) -> Spectrum:
     if isinstance(source, tuple):
         _, text = source
     else:
-        text = _read_text(source)
+        text = read_text(source)
     return parse_spectrum(text, id=sid)
 
 

@@ -3,21 +3,16 @@
 from __future__ import annotations
 
 import argparse
-import codecs
-import contextlib
 import dataclasses
-import errno
 import glob
 import math
 import os
-import shutil
 import sys
-import tempfile
 from array import array
 from collections import Counter
 from pathlib import Path
 
-from . import pixmap, spatial, stats
+from . import files, pixmap, spatial, stats
 from .classify import UNK, classify_iter, compile_rules, harden, write_batch_csv
 from .errors import SpectraClassError
 from .rulebase import builtin_basalt, parse_rulebase, validate
@@ -99,10 +94,8 @@ def cmd_classify(args) -> int:
 
     results = tally(classify_iter(inputs, rb, workers=args.workers))
     if args.out:
-        with tempfile.TemporaryFile("w+", encoding="utf-8", newline="") as tmp:
-            write_batch_csv(results, codes, tmp)
-            tmp.flush()
-            _publish({args.out: tmp.buffer})
+        with files.staging() as stage:
+            write_batch_csv(results, codes, stage(args.out))
         summary_stream = sys.stdout
     else:
         write_batch_csv(results, codes, sys.stdout)
@@ -137,7 +130,7 @@ def cmd_stats(args) -> int:
     sizes = Counter()  # group key -> its number of spectra
     group_dirs: dict = {}  # directory group key -> the directory it names
     for path in inputs:
-        (mzs, abundances), key = _read_input(path, lambda text: read(text, Path(path).stem))
+        (mzs, abundances), key = _read_input(path, lambda text: read(text, files.stem(path)))
         if not by_label:
             parent = Path(path).parent
             # "." and ".." name no directory; abspath gives the one they mean.
@@ -156,36 +149,31 @@ def cmd_stats(args) -> int:
     out_dir = Path(args.out) if args.out else None
     if out_dir:
         out_dir.mkdir(parents=True, exist_ok=True)
-    with contextlib.ExitStack() as stack:
-        files = {}
+    with files.staging() as stage:
         for key, db in sorted(dbs.items()):
             rows = stats.class_vs_ensemble_report(db, ensemble_db, mode=args.mode)
             print(f"== {key} ({db.n_spectra} spectra) vs ensemble ({ensemble_db.n_spectra}) ==")
             print(stats.render_histogram(rows))
             if out_dir:
-                f = files[out_dir / f"{key}_report.csv"] = stack.enter_context(tempfile.TemporaryFile())
-                stats.write_report_csv(rows, codecs.getwriter("utf-8")(f))
-        if out_dir:
-            _publish(files)
+                stats.write_report_csv(rows, stage(out_dir / f"{key}_report.csv"))
     return EX_OK
 
 
 def _read_input(path, parse, stream=False):
     """``parse`` the text of ``path``; a parse failure becomes a fatal error naming the file.
 
-    With ``stream``, ``parse`` gets the open text file instead, decoded and
-    newline-translated as ``read_text`` does. An error raised before the
-    file's end then gives way to the error ``read_text`` would have raised
-    first, on a bad byte anywhere in the file.
+    With ``stream``, ``parse`` gets the open text file instead. An error
+    raised before the file's end then gives way to the error
+    ``files.read_text`` would have raised first, on a bad byte anywhere.
     """
     try:
         if not stream:
-            return parse(Path(path).read_text(encoding="utf-8"))
-        with Path(path).open(encoding="utf-8") as f:
+            return parse(files.read_text(path))
+        with files.open_text(path) as f:
             try:
                 return parse(f)
             except (ValueError, SpectraClassError, OSError):
-                Path(path).read_text(encoding="utf-8")
+                files.read_text(path)
                 raise
     except (ValueError, SpectraClassError) as exc:
         raise SpectraClassError(f"{path}: {exc}") from None
@@ -202,68 +190,29 @@ def cmd_map(args) -> int:
             palette = _read_input(args.palette, pixmap.load_palette)
         except (SpectraClassError, OSError) as exc:
             palette_error = exc  # a grid error is reported first, as if the palette were read after it
-    with contextlib.ExitStack() as stack:
-        files, n_assigned = _read_input(
-            args.input, lambda f: _stream_maps(f, args, palette, stack), stream=True)
+    out_dir = Path(args.out)
+    with files.staging() as stage:
+        n_assigned = _read_input(args.input, lambda f: _stream_maps(f, args, palette, stage), stream=True)
         if palette_error is not None:
             raise palette_error
-        out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
-        _publish({out_dir / name: f for name, f in files.items()})
     print(f"wrote maps to {out_dir} ({n_assigned} neighbor-assigned spots)")
     return EX_OK
 
 
-def _publish(files):
-    """Copy each ``{target path: temporary file}`` to its target: all of them, or on an error none.
+def _stream_maps(source, args, palette, stage):
+    """Write every map of the grid ``source`` into files staged for ``--out``, one grid row at a time.
 
-    Each copy is staged beside the file its target resolves to, so a
-    symlinked target is written through, takes that file's mode if it
-    exists, and is renamed over it only once every target is checked and
-    every copy made; an error removes the staged copies. Errors name the
-    target as given: one that cannot be written as opening it would.
-    """
-    staged = []
-    try:
-        for target, tmp in files.items():
-            if not os.path.basename(target) or os.path.isdir(target):  # open() says EISDIR for a/ too
-                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), os.fspath(target))
-            real = os.path.realpath(target)
-            head, name = os.path.split(real)
-            part = os.path.join(head, f".{name}.part")
-            try:
-                f = open(part, "wb")
-            except OSError as exc:
-                raise OSError(exc.errno, exc.strerror, os.fspath(target)) from None
-            staged.append((part, real))
-            with f:
-                tmp.seek(0)
-                shutil.copyfileobj(tmp, f)
-            with contextlib.suppress(FileNotFoundError):
-                shutil.copymode(real, part)
-        for part, target in staged:
-            os.replace(part, target)
-    except BaseException:
-        for part, _ in staged:
-            with contextlib.suppress(FileNotFoundError):
-                os.remove(part)
-        raise
-
-
-def _stream_maps(source, args, palette, stack):
-    """Write every map of the grid ``source`` into unnamed temporary files, one grid row at a time.
-
-    Returns ``({output name: temporary file}, neighbor-assigned spot
-    count)``. The files are entered into ``stack``; they hold good maps
-    only if this returns, since the grid is checked to its last line.
+    Returns the neighbor-assigned spot count. ``stage`` is files.staging()'s; the files hold
+    good maps only if this returns, since the grid is checked to its last line.
     """
     rows = spatial.read_grid_rows(source)
     topology, height, width, codes = next(rows)
     if args.topology:
-        topology = {"rect": spatial.RECTANGULAR, "hex": spatial.HEXAGONAL}[args.topology]
+        topology = spatial.TOPOLOGY_ALIASES[args.topology]
     names = ["pre.csv", "post.csv", "pre.ppm", "post.ppm", *(f"mu_{c}.ppm" for c in codes)]
-    files = {name: stack.enter_context(tempfile.TemporaryFile()) for name in names}
-    pre_csv, post_csv, pre_ppm, post_ppm, *mu_ppms = (f.write for f in files.values())
+    out_dir = Path(args.out)
+    pre_csv, post_csv, pre_ppm, post_ppm, *mu_ppms = (stage(out_dir / name).buffer.write for name in names)
     for write in (pre_csv, post_csv):
         write(spatial.MAP_CSV_HEADER.encode("utf-8"))
     header = pixmap.ppm_header(width, height)
@@ -281,7 +230,7 @@ def _stream_maps(source, args, palette, stack):
         for j, write in enumerate(mu_ppms):
             write(pixmap.grey_row(mus, j))
         n_assigned += len(post[2])
-    return files, n_assigned
+    return n_assigned
 
 
 def cmd_validate_rules(args) -> int:
@@ -333,7 +282,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--nu", type=float, default=0.5, help="hard-label threshold (default 0.5)")
     p.add_argument("--floor", type=float, default=None,
                    help="keep a spot UNK when its best smoothed value is below this")
-    p.add_argument("--topology", choices=("rect", "hex"), default=None,
+    p.add_argument("--topology", choices=tuple(spatial.TOPOLOGY_ALIASES), default=None,
                    help="override the topology declared in the input headers")
     p.add_argument("--palette", help="palette file mapping class codes to RGB")
     p.add_argument("--out", required=True, help="output directory")

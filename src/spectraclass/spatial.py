@@ -9,17 +9,25 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Optional
 
-from .classify import UNK, fmt
+from .classify import UNK, fmt, harden_list
 from .errors import BadIndex, DuplicateName, ParseError
 
 RECTANGULAR = "rectangular"
 HEXAGONAL = "hexagonal"
+TOPOLOGY_ALIASES = {"rect": RECTANGULAR, "hex": HEXAGONAL}  # as headers and --topology may name them
 
 # Hexagonal (closest-pack) grids use odd-row horizontal offset addressing:
 # odd rows are shifted half a spot to the right.
 _HEX_EVEN = ((-1, -1), (-1, 0), (0, -1), (0, 1), (1, -1), (1, 0))
 _HEX_ODD = ((-1, 0), (-1, 1), (0, -1), (0, 1), (1, 0), (1, 1))
 _MOORE = ((-1, -1), (-1, 0), (-1, 1), (0, -1), (0, 1), (1, -1), (1, 0), (1, 1))
+
+
+class _LeftFold(float):
+    """+0.0 as a float subclass: sum() from it adds left to right; 3.12+ compensates from 0 or 0.0."""
+
+
+_LEFT_FOLD = _LeftFold()
 
 
 @dataclass(slots=True)
@@ -96,27 +104,6 @@ class ClassificationMap:
     cells: list  # one MapCell per spot, in the grid's row-major order
 
 
-def _harden(mus, nu: float):
-    """The ``(labels, confs)`` columns of spots hardened from their membership lists.
-
-    A label is the index of the best class, the first of equal ones, as
-    in harden_values(); a spot below nu is labeled -1 (UNK) and has
-    confidence 1 - best.
-    """
-    bests = list(map(max, mus))
-    return ([mu.index(best) if best >= nu else -1 for mu, best in zip(mus, bests)],
-            [best if best >= nu else 1.0 - best for best in bests])
-
-
-def _cells(class_codes, labels, confs, assigned) -> list:
-    """The MapCells of one row's label and confidence columns."""
-    names = [*class_codes, UNK]
-    cells = [MapCell(names[k], conf) for k, conf in zip(labels, confs)]
-    for i in assigned:
-        cells[i].neighbor_assigned = True
-    return cells
-
-
 def _grid_rows(grid: SampleGrid):
     """The spots of ``grid`` as read_grid_rows yields them: ``(ids, xs, ys, mus)`` per grid row."""
     codes, cols = grid.class_codes, grid.cols
@@ -137,15 +124,15 @@ def map_rows(topology: str, rows, nu: float, floor: Optional[float] = None):
     grid's class codes, -1 for UNK, and ``assigned`` lists the indices of
     the neighbor-assigned spots, the ones below nu.
 
-    Pre labels and confidences are _harden()'s; every spot at or above nu
-    keeps them after smoothing. A spot below nu adds to each class's raw
-    membership the mean of its neighbors' raw memberships of that class,
-    summed in neighbors() order (a spot with no neighbors keeps its raw
-    values), and takes the best smoothed class, the first of equal ones,
-    with that value as confidence, which may exceed 1; unless the best is
-    below ``floor``, when it stays UNK with its pre confidence. A spot off
-    the border finds its neighbors at fixed offsets in the three-row
-    window; border spots drop the steps that leave the grid.
+    Pre labels and confidences are harden_list()'s at nu; every spot at
+    or above nu keeps them after smoothing. A spot below nu adds to each
+    class's raw membership the mean of its neighbors' raw memberships of
+    that class, summed left to right from +0.0 in neighbors() order (a
+    spot with no neighbors keeps its raw values), and is hardened again
+    at ``floor``, keeping its pre label and confidence if that gives UNK;
+    a smoothed confidence may exceed 1. A spot off the border finds its
+    neighbors at fixed offsets in the three-row window; border spots drop
+    the steps that leave the grid.
     """
     smoothed_nu = -math.inf if floor is None else floor
     rows = iter(rows)
@@ -161,7 +148,7 @@ def map_rows(topology: str, rows, nu: float, floor: Optional[float] = None):
         lo, hi = (-1 if prev else 0), (0 if nxt is None else 1)
         steps = _steps(topology, r)
         inner = [dr * cols + dc for dr, dc in steps] if prev and nxt else None
-        labels, confs = _harden(mus, nu)
+        labels, confs = map(list, zip(*(harden_list(mu, nu) for mu in mus)))
         post_labels, post_confs = labels[:], confs[:]
         assigned = [c for c, k in enumerate(labels) if k < 0]
         for c in assigned:
@@ -174,10 +161,10 @@ def map_rows(topology: str, rows, nu: float, floor: Optional[float] = None):
             mu = window[i]
             if around:
                 n = len(around)
-                mu = [a + sum(col) / n for a, col in zip(mu, zip(*around))]
-            best = max(mu)
-            if best >= smoothed_nu:  # else the floor keeps the spot UNK, with its raw confidence
-                post_labels[c], post_confs[c] = mu.index(best), best
+                mu = [a + sum(col, _LEFT_FOLD) / n for a, col in zip(mu, zip(*around))]
+            k, conf = harden_list(mu, smoothed_nu)
+            if k >= 0:  # else the floor keeps the spot UNK, with its raw confidence
+                post_labels[c], post_confs[c] = k, conf
         yield cur, (labels, confs), (post_labels, post_confs, assigned)
         prev, cur, r = mus, nxt, r + 1
 
@@ -185,18 +172,16 @@ def map_rows(topology: str, rows, nu: float, floor: Optional[float] = None):
 def reclassify_map(grid: SampleGrid, nu: float, floor: Optional[float] = None) -> ClassificationMap:
     """Hard classification with neighbor smoothing for sub-nu spots: map_rows() over the grid.
 
-    Confident spots keep their raw argmax label. Indeterminate spots take
-    the argmax over their raw memberships plus the mean of their
-    neighbors', summed per class in neighbors() order; smoothing reads raw
-    values only, in one pass, so it never cascades. ``floor`` optionally
-    keeps a spot UNK when even the best smoothed value stays below it,
-    with the raw confidence 1 - raw best. The confidence of a
-    neighbor-assigned class is the smoothed value and may exceed 1.
+    Smoothing reads raw values only, in one pass, so it never cascades.
     Classes are read in ``class_codes`` order, so ties break by it.
     """
+    names = [*grid.class_codes, UNK]  # label -1 is UNK
     cells = []
-    for _, _, post in map_rows(grid.topology, _grid_rows(grid), nu, floor):
-        cells += _cells(grid.class_codes, *post)
+    for _, _, (labels, confs, assigned) in map_rows(grid.topology, _grid_rows(grid), nu, floor):
+        row = [MapCell(names[k], conf) for k, conf in zip(labels, confs)]
+        for i in assigned:
+            row[i].neighbor_assigned = True
+        cells += row
     return ClassificationMap(cells)
 
 
@@ -269,7 +254,7 @@ def _grid_shape(meta: dict, has_columns: bool, error):
         raise ParseError("grid file has no data rows")
     if error is not None:
         raise error
-    return {"rect": RECTANGULAR, "hex": HEXAGONAL}.get(meta["topology"], meta["topology"]), rows, cols
+    return TOPOLOGY_ALIASES.get(meta["topology"], meta["topology"]), rows, cols
 
 
 def read_grid_rows(source):

@@ -4,17 +4,21 @@
   f_not(), with membership() as each term's law and peak_abundance() as
   each ion's lookup; classify.compile_rules() and fuzzy.compile_expr()
   must equal them bit for bit;
-- smoothed_membership() smooths one spot's membership of one class, and
+- harden_values() hardens a ``{code: membership}`` dict, and
+  smoothed_membership() smooths one spot's membership of one class;
   render_class_map(), render_membership_map() and write_ppm() draw whole
   maps; the files `map` writes row by row must equal them byte for byte.
 """
 
 import math
+from functools import reduce
 from itertools import chain
+from operator import add
 
-from spectraclass.errors import DomainError
+from spectraclass.errors import DomainError, NoClasses
 from spectraclass.fuzzy import And, Not, Or, Term
 from spectraclass.pixmap import BASALT_PALETTE
+from spectraclass.rulebase import UNK
 from spectraclass.spatial import neighbors
 from spectraclass.spectrum import window_slice
 
@@ -77,16 +81,37 @@ def peak_abundance(s, chi, eps: float) -> float:
     return max(ab for _, ab in s.points[lo:hi])
 
 
+def harden_values(values: dict, nu: float) -> tuple:
+    """The hardening rule: ``(label, confidence)`` for ``{code: membership}``.
+
+    The argmax class wins when its membership reaches nu (inclusive);
+    otherwise the label is UNK with confidence 1 - max. Ties break by the
+    dict's order, which callers keep in class declaration order.
+    """
+    if not values:
+        raise NoClasses("empty membership vector")
+    best_code = None
+    best = -1.0
+    for code, value in values.items():
+        if value > best:
+            best_code, best = code, value
+    if best < nu:
+        return UNK, 1.0 - best
+    return best_code, best
+
+
 def smoothed_membership(grid, i: int, gamma: str) -> float:
     """Spot membership plus the average over its neighbors; range [0, 2].
 
-    A 1x1 grid has no neighbors and falls back to the raw value.
+    The neighbors' memberships are summed left to right from +0.0, on
+    every Python version. A 1x1 grid has no neighbors and falls back to
+    the raw value.
     """
     ns = neighbors(grid, i)
     mu = grid.spots[i].membership[gamma]
     if not ns:
         return mu
-    return mu + sum(grid.spots[j].membership[gamma] for j in ns) / len(ns)
+    return mu + reduce(add, (grid.spots[j].membership[gamma] for j in ns), 0.0) / len(ns)
 
 
 def write_ppm(stream, width: int, height: int, pixels) -> None:

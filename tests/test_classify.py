@@ -10,8 +10,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from conftest import ION_MZ, make_spectrum, spectrum_csv
-from reference import eval_expr, membership, peak_abundance
-from spectraclass import classify
+from reference import eval_expr, harden_values, membership, peak_abundance
+from spectraclass import files
 from spectraclass.classify import (
     Classification,
     MembershipVector,
@@ -19,7 +19,7 @@ from spectraclass.classify import (
     classify_iter,
     compile_rules,
     harden,
-    harden_values,
+    harden_list,
     memberships,
     write_batch_csv,
 )
@@ -272,12 +272,28 @@ class TestHarden:
         assert harden(mv, 0.5).label == "A"
 
     def test_plain_dict_rule(self):
-        assert harden_values({"B": 0.7, "A": 0.7}, 0.5) == ("B", 0.7)
-        label, confidence = harden_values({"A": 0.2, "B": 0.4}, 0.5)
-        assert label == "UNK"
-        assert confidence == pytest.approx(0.6, abs=1e-12)
-        with pytest.raises(NoClasses):
-            harden_values({}, 0.5)
+        assert harden(MembershipVector.from_values({"B": 0.7, "A": 0.7}), 0.5) == Classification("B", 0.7)
+        c = harden(MembershipVector.from_values({"A": 0.2, "B": 0.4}), 0.5)
+        assert c.label == "UNK"
+        assert c.confidence == pytest.approx(0.6, abs=1e-12)
+        assert harden_list([0.7, 0.7], 0.5) == (0, 0.7)
+        assert harden_list([0.2, 0.4], 0.5) == (-1, 1.0 - 0.4)
+
+    @given(st.lists(st.sampled_from([0.0, -0.0, 0.25, 0.5, 1.0]) | st.floats(0.0, 1.0), min_size=1, max_size=5),
+           st.floats(0.0, 1.0))
+    def test_agrees_with_the_reference_rule(self, mus, nu):
+        values = {f"C{i}": mu for i, mu in enumerate(mus)}
+        c = harden(MembershipVector.from_values(values), nu)
+        label, confidence = harden_values(values, nu)
+        assert (c.label, repr(c.confidence)) == (label, repr(confidence))
+
+    @pytest.mark.parametrize("values", [{"A": -3.0}, {"A": 1.5}, {"A": math.nan, "B": 0.6},
+                                        {"B": 0.6, "A": math.nan}, {"B": 0.6, "A": -0.1}],
+                             ids=["below-0", "above-1", "nan-first", "nan-last", "below-0-last"])
+    def test_membership_outside_unit_interval_rejected(self, values):
+        bad = values["A"]
+        with pytest.raises(ValueError, match=f"^membership of class 'A' is {bad}, outside \\[0,1\\]$"):
+            MembershipVector.from_values(values)
 
 
 class TestBatch:
@@ -367,4 +383,4 @@ class TestBatch:
 
     @given(st.text(alphabet="ab. /", max_size=12))
     def test_file_id_is_the_path_stem(self, path):
-        assert classify._stem(path) == Path(path).stem
+        assert files.stem(path) == Path(path).stem

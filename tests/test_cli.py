@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import spectrum_csv
-from spectraclass import classify, cli, rulebase, spectrum, stats
+from spectraclass import classify, cli, files, rulebase, spectrum, stats
 from spectraclass.cli import EX_FATAL, EX_OK, EX_PARTIAL, EX_USAGE, load_rules, main
 from spectraclass.rulebase import builtin_basalt, serialize_rulebase
 from spectraclass.stats import peak_list
@@ -876,7 +876,7 @@ class TestMapStreaming:
                 raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), str(file))
             return open(file, *args, **kwargs)
 
-        monkeypatch.setattr(cli, "open", refusing_open, raising=False)
+        monkeypatch.setattr(files, "open", refusing_open, raising=False)
         out = tmp_path / "o"
         out.mkdir()
         self._fatal(["map", str(grid_file(tmp_path)), "--out", str(out)], capsys,

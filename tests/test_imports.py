@@ -113,3 +113,46 @@ def test_cli_import_leaves_the_thread_pool_unloaded():
     loaded = subprocess.run([sys.executable, "-S", "-c", code], env={**os.environ, "PYTHONPATH": src},
                             capture_output=True, text=True, check=True).stdout.split()
     assert {"concurrent.futures", "logging", "threading"}.isdisjoint(loaded)
+
+
+FILE_METHODS = {"open", "read_text", "write_text", "read_bytes", "write_bytes"}
+
+
+def file_access(source: str) -> list:
+    """Each place ``source`` opens a file or imports tempfile: ``open()``, a Path-style file method, tempfile.
+
+    Calls into the ``files`` module are its API, and a read of package data
+    through ``importlib.resources.files(...)`` opens no file of the user's.
+    """
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found += [f"import {a.name} (line {node.lineno})" for a in node.names
+                      if a.name.partition(".")[0] == "tempfile"]
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").partition(".")[0] == "tempfile":
+            found.append(f"from {node.module} import (line {node.lineno})")
+        elif isinstance(node, ast.Call):
+            func = node.func
+            if isinstance(func, ast.Name) and func.id == "open":
+                found.append(f"open() (line {node.lineno})")
+            elif (isinstance(func, ast.Attribute) and func.attr in FILE_METHODS
+                  and ast.unparse(func.value) != "files"
+                  and not ast.unparse(func.value).startswith("resources.files(")):
+                found.append(f".{func.attr}() (line {node.lineno})")
+    return found
+
+
+def test_finds_file_access():
+    source = ("import tempfile, os\nfrom tempfile import TemporaryFile\nfrom importlib import resources\n"
+              "open('a')\nPath('a').read_text()\nPath('b').open()\np.write_text('x')\nos.open('c', 0)\n"
+              "resources.files(__package__).joinpath('d').read_text()\nf.read()\nfiles.read_text('e')\n")
+    assert file_access(source) == ["import tempfile (line 1)", "from tempfile import (line 2)",
+                                   "open() (line 4)", ".read_text() (line 5)", ".open() (line 6)",
+                                   ".write_text() (line 7)", ".open() (line 8)"]
+
+
+@pytest.mark.parametrize("path", ALL_MODULES, ids=[p.name for p in ALL_MODULES])
+def test_only_files_module_opens_files(path):
+    # files.py is the one module that opens an input or stages an output.
+    if path.name != "files.py":
+        assert file_access(path.read_text(encoding="utf-8")) == []

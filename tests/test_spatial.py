@@ -10,9 +10,9 @@ from unittest import mock
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from reference import render_class_map, render_membership_map, smoothed_membership, write_ppm
+from reference import harden_values, render_class_map, render_membership_map, smoothed_membership, write_ppm
 from spectraclass import spatial
-from spectraclass.classify import UNK, fmt, harden_values
+from spectraclass.classify import UNK, fmt
 from spectraclass.cli import main
 from spectraclass.errors import BadIndex, DuplicateName, ParseError
 from spectraclass.spatial import (
