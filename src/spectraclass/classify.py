@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from itertools import islice
+from itertools import islice, repeat
 from typing import Optional
 
 from .errors import NoClasses, SpectraClassError
@@ -115,6 +115,11 @@ def harden_list(mu, nu: float) -> tuple:
     return (mu.index(best), best) if best >= nu else (-1, 1.0 - best)
 
 
+def harden_spots(spots, nu: float) -> tuple:
+    """harden_list() of each membership sequence in ``spots``, one at least: ``(labels, confidences)``."""
+    return tuple(map(list, zip(*map(harden_list, spots, repeat(nu)))))
+
+
 def harden(mv: MembershipVector, nu: float) -> Classification:
     """Collapse a membership vector to a single label by harden_list()."""
     index, confidence = harden_list(list(mv.values.values()), nu)
@@ -197,9 +202,12 @@ def classify_batch(sources, rb: RuleBase, workers: int = 1) -> list:
     return list(classify_iter(sources, rb, workers))
 
 
+FMT_SPEC = ".6g"  # the format() spec of every number in a CSV output
+
+
 def fmt(x: float) -> str:
     """Number format of every CSV output: up to six significant digits."""
-    return format(x, ".6g")
+    return format(x, FMT_SPEC)
 
 
 def _csv_field(text: str) -> str:

@@ -148,7 +148,7 @@ def cmd_stats(args) -> int:
     dbs, ensemble_db = stats.group_statdbs(groups, sizes, eps)
     out_dir = Path(args.out) if args.out else None
     if out_dir:
-        out_dir.mkdir(parents=True, exist_ok=True)
+        files.make_dirs(out_dir)
     with files.staging() as stage:
         for key, db in sorted(dbs.items()):
             rows = stats.class_vs_ensemble_report(db, ensemble_db, mode=args.mode)
@@ -195,7 +195,7 @@ def cmd_map(args) -> int:
         n_assigned = _read_input(args.input, lambda f: _stream_maps(f, args, palette, stage), stream=True)
         if palette_error is not None:
             raise palette_error
-        out_dir.mkdir(parents=True, exist_ok=True)
+        files.make_dirs(out_dir)
     print(f"wrote maps to {out_dir} ({n_assigned} neighbor-assigned spots)")
     return EX_OK
 

@@ -30,6 +30,18 @@ def read_text(path) -> str:
         return f.read()
 
 
+def make_dirs(path) -> None:
+    """Create the directory ``path`` and its missing parents, or keep it if it exists, as ``Path.mkdir``.
+
+    A dangling symlink gets the directory it points to, so an output
+    directory is written through a link as an output file is. Anything
+    else that exists and is not a directory raises FileExistsError.
+    """
+    if os.path.islink(path) and not os.path.exists(path):
+        path = os.path.realpath(path)
+    Path(path).mkdir(parents=True, exist_ok=True)
+
+
 @contextlib.contextmanager
 def staging():
     """Yield ``stage(target)``, which opens a temporary UTF-8 text file; publish() all if the block succeeds."""

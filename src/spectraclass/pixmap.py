@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+from itertools import repeat
+from operator import mul
+
 # Fixed palette for the basalt classes; UNK renders black.
 BASALT_PALETTE = {
     "ILM": (200, 40, 40),
@@ -31,12 +34,12 @@ def class_row(colors, labels) -> bytes:
 
 
 def grey_row(mus, j: int) -> bytearray:
-    """The P6 bytes of class ``j``'s membership per spot in grey, 0 -> black, 1 -> white.
+    """The P6 bytes of class ``j``'s membership column ``mus[j]`` in grey, 0 -> black, 1 -> white.
 
     A spot's grey level is round(mu * 255); memberships are in [0,1], as
     read_grid_rows checks them.
     """
-    levels = bytes([round(mu[j] * 255) for mu in mus])
+    levels = bytes(map(round, map(mul, mus[j], repeat(255))))
     row = bytearray(3 * len(levels))
     row[0::3] = row[1::3] = row[2::3] = levels
     return row

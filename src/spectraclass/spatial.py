@@ -7,10 +7,13 @@ import math
 import re
 from dataclasses import dataclass
 from functools import partial
+from itertools import compress, islice, repeat
+from operator import add, truediv
 from typing import Optional
 
-from .classify import UNK, fmt, harden_list
+from .classify import FMT_SPEC, UNK, harden_spots
 from .errors import BadIndex, DuplicateName, ParseError
+from .spectrum import _NOT_SKELETON
 
 RECTANGULAR = "rectangular"
 HEXAGONAL = "hexagonal"
@@ -110,63 +113,85 @@ def _grid_rows(grid: SampleGrid):
     for start in range(0, len(grid.spots), cols):
         spots = grid.spots[start:start + cols]
         yield ([s.id for s in spots], [s.x for s in spots], [s.y for s in spots],
-               [[s.membership[c] for c in codes] for s in spots])
+               [[s.membership[c] for s in spots] for c in codes])
+
+
+def _neighbor_means(topology: str, r: int, window, c: int) -> tuple:
+    """Spot c of grid row r smoothed: its memberships plus its neighbors' means, per class.
+
+    ``window`` holds the class columns of rows r-1, r and r+1, None for a
+    row outside the grid. Each class's neighbor values are summed left to
+    right from +0.0 in neighbors() order; a spot with no neighbors keeps
+    its raw values.
+    """
+    mus = window[1]
+    cols = len(mus[0])
+    around = [(window[1 + dr], c + dc) for dr, dc in _steps(topology, r)
+              if window[1 + dr] is not None and 0 <= c + dc < cols]
+    if not around:
+        return tuple(mu[c] for mu in mus)
+    n = len(around)
+    return tuple(mu[c] + sum([row[j][k] for row, k in around], _LEFT_FOLD) / n for j, mu in enumerate(mus))
 
 
 def map_rows(topology: str, rows, nu: float, floor: Optional[float] = None):
     """Harden and smooth a grid row by row: yield ``(row, pre, post)`` for each row.
 
     ``rows`` gives the grid's rows in order, each ``(ids, xs, ys, mus)``
-    as read_grid_rows yields them. Row r is hardened and smoothed once row
-    r+1 is read, so only rows r-1, r and r+1 are held. ``pre`` is row r's
-    ``(labels, confs)`` columns before smoothing and ``post`` its
-    ``(labels, confs, assigned)`` after. A label is an index into the
-    grid's class codes, -1 for UNK, and ``assigned`` lists the indices of
-    the neighbor-assigned spots, the ones below nu.
+    as read_grid_rows yields them, ``mus[j]`` being class j's membership
+    column. Row r is hardened and smoothed once row r+1 is read, so only
+    rows r-1, r and r+1 are held. ``pre`` is row r's ``(labels, confs)``
+    columns before smoothing and ``post`` its ``(labels, confs, assigned)``
+    after. A label is an index into the grid's class codes, -1 for UNK,
+    and ``assigned`` lists the indices of the neighbor-assigned spots, the
+    ones below nu.
 
-    Pre labels and confidences are harden_list()'s at nu; every spot at
+    Pre labels and confidences are harden_spots()'s at nu; every spot at
     or above nu keeps them after smoothing. A spot below nu adds to each
     class's raw membership the mean of its neighbors' raw memberships of
     that class, summed left to right from +0.0 in neighbors() order (a
     spot with no neighbors keeps its raw values), and is hardened again
     at ``floor``, keeping its pre label and confidence if that gives UNK;
-    a smoothed confidence may exceed 1. A spot off the border finds its
-    neighbors at fixed offsets in the three-row window; border spots drop
-    the steps that leave the grid.
+    a smoothed confidence may exceed 1. Off the border, each class's sums
+    for all of a row's spots below nu are one chain of map(add) over
+    shifted slices of the three rows' columns; spots on the border go
+    through _neighbor_means().
     """
     smoothed_nu = -math.inf if floor is None else floor
     rows = iter(rows)
-    prev, cur = [], next(rows, None)
-    r = 0
-    while cur is not None:
-        nxt = next(rows, None)
-        mus = cur[3]
-        cols = len(mus)
-        # Memberships of rows r-1 and r+1, where they exist, around row r at base.
-        window = [*prev, *mus, *(nxt[3] if nxt else ())]
-        base = len(prev)
-        lo, hi = (-1 if prev else 0), (0 if nxt is None else 1)
-        steps = _steps(topology, r)
-        inner = [dr * cols + dc for dr, dc in steps] if prev and nxt else None
-        labels, confs = map(list, zip(*(harden_list(mu, nu) for mu in mus)))
+    row, below = None, next(rows, None)
+    r = -1
+    while below is not None:
+        above, row, below, r = row, below, next(rows, None), r + 1
+        # The class columns of rows r-1, r and r+1; None outside the grid.
+        window = [above and above[3], row[3], below and below[3]]
+        spots = list(zip(*row[3]))
+        cols = len(spots)
+        labels, confs = harden_spots(spots, nu)
         post_labels, post_confs = labels[:], confs[:]
         assigned = [c for c, k in enumerate(labels) if k < 0]
-        for c in assigned:
-            i = base + c
-            if inner is not None and 0 < c < cols - 1:
-                around = [window[i + d] for d in inner]
+        if assigned:
+            if above and below and cols > 2:
+                # The assigned spots off the border, each class's sums for all of them at once.
+                steps = _steps(topology, r)
+                inner = [k < 0 for k in labels[1:-1]]
+                means = []
+                for j, mu in enumerate(row[3]):
+                    total = repeat(0.0)
+                    for dr, dc in steps:
+                        total = map(add, total, compress(window[1 + dr][j][1 + dc:cols - 1 + dc], inner))
+                    means.append(map(add, compress(mu[1:-1], inner), map(truediv, total, repeat(len(steps)))))
+                smoothed = list(zip(*means))
+                if labels[0] < 0:
+                    smoothed.insert(0, _neighbor_means(topology, r, window, 0))
+                if labels[-1] < 0:
+                    smoothed.append(_neighbor_means(topology, r, window, cols - 1))
             else:
-                around = [window[i + dr * cols + dc] for dr, dc in steps
-                          if lo <= dr <= hi and 0 <= c + dc < cols]
-            mu = window[i]
-            if around:
-                n = len(around)
-                mu = [a + sum(col, _LEFT_FOLD) / n for a, col in zip(mu, zip(*around))]
-            k, conf = harden_list(mu, smoothed_nu)
-            if k >= 0:  # else the floor keeps the spot UNK, with its raw confidence
-                post_labels[c], post_confs[c] = k, conf
-        yield cur, (labels, confs), (post_labels, post_confs, assigned)
-        prev, cur, r = mus, nxt, r + 1
+                smoothed = [_neighbor_means(topology, r, window, c) for c in assigned]
+            for c, k, conf in zip(assigned, *harden_spots(smoothed, smoothed_nu)):
+                if k >= 0:  # else the floor keeps the spot UNK, with its raw confidence
+                    post_labels[c], post_confs[c] = k, conf
+        yield row, (labels, confs), (post_labels, post_confs, assigned)
 
 
 def reclassify_map(grid: SampleGrid, nu: float, floor: Optional[float] = None) -> ClassificationMap:
@@ -190,6 +215,7 @@ def reclassify_map(grid: SampleGrid, nu: float, floor: Optional[float] = None) -
 
 _HEADER_RE = re.compile(r"#\s*(topology|rows|cols)\s*:\s*(\S+)")
 _CHUNK = 1 << 16  # characters of grid text split into lines at a time
+_BLOCK = 256  # data lines read as one piece at most
 
 
 def _lines(source):
@@ -257,6 +283,54 @@ def _grid_shape(meta: dict, has_columns: bool, error):
     return TOPOLOGY_ALIASES.get(meta["topology"], meta["topology"]), rows, cols
 
 
+def _position(field: str) -> float:
+    """An x or y field's value: 0.0 if it is empty; ValueError as float() raises it."""
+    return float(field) if field.strip() else 0.0
+
+
+def _positions(fields) -> list:
+    """_position() of each field, by float() alone when no field is empty."""
+    try:
+        return list(map(float, fields))
+    except ValueError:
+        return list(map(_position, fields))
+
+
+def _block_columns(block, n_fields: int, mu_columns, kid, kx, ky):
+    """The ``(ids, xs, ys, mus)`` columns of a block of data lines checked as one piece, or None.
+
+    None, to read the lines one by one, unless they are ASCII, hold no '"'
+    and no '#', have ``n_fields`` fields each, every numeric field reads by
+    float(), every membership column is in [0,1] with no nan, and every x
+    and y is finite: then the line loop would read them to the same
+    values. Any other block may hold an error, which only the line loop
+    reports.
+    """
+    text = "\n".join(block)
+    if not text.isascii() or '"' in text or "#" in text:
+        return None
+    # splitlines() left no line break in a line, so the skeleton is the
+    # commas of each line, joined by "\n"; a blank line fails it too.
+    commas = b"," * (n_fields - 1)
+    if text.encode("ascii").translate(None, _NOT_SKELETON) != (commas + b"\n") * (len(block) - 1) + commas:
+        return None
+    fields = text.replace("\n", ",").split(",")
+    n = len(block)
+    try:
+        mus = [list(map(float, fields[k::n_fields])) for k in mu_columns]
+        xs, ys = ([0.0] * n if k is None else _positions(fields[k::n_fields]) for k in (kx, ky))
+    except ValueError:
+        return None
+    for col in mus:
+        total = sum(col)  # nan if the column holds a nan, which min() and max() can step over
+        if not (total == total and 0.0 <= min(col) and max(col) <= 1.0):
+            return None
+    if not (math.isfinite(sum(xs)) and math.isfinite(sum(ys))):  # an overflowing sum reads by line too
+        return None
+    ids = [""] * n if kid is None else list(map(str.strip, fields[kid::n_fields]))
+    return ids, xs, ys, mus
+
+
 def read_grid_rows(source):
     """Parse a grid file lazily: yield its shape, then its rows of spots.
 
@@ -264,10 +338,16 @@ def read_grid_rows(source):
     reads a piece at a time. The first item is ``(topology, rows, cols,
     class_codes)``, yielded once the three headers and the column line
     are read; each later item is one grid row of ``cols`` spots, in
-    row-major order, as the columns ``(ids, xs, ys, mus)``: each spot's
-    memberships are a list in ``class_codes`` order. Headers may appear
-    anywhere in the file, each once; spots read before the last of them
-    are held until it is read.
+    row-major order, as the columns ``(ids, xs, ys, mus)``: ``mus[j]`` is
+    class j's membership column, in ``class_codes`` order. Headers may
+    appear anywhere in the file, each once; spots read before the last of
+    them are held until it is read.
+
+    Lines are read one at a time until the shape is known. From then on,
+    while no error is pending, they are taken in blocks of at most
+    ``_BLOCK`` lines that end at the latest at the end of a grid row, and
+    _block_columns() reads each block whole. A block it refuses goes
+    through the line loop, which alone raises errors.
 
     A repeated header is raised at its line. Every other error is raised
     after the last line, as if every header came first: a missing,
@@ -281,74 +361,98 @@ def read_grid_rows(source):
     cols = None  # set once the shape is yielded
     ids, xs, ys, mus = [], [], [], []  # the columns of the spots not yet yielded
     n = 0
-    for lineno, raw in enumerate(_lines(source), 1):
-        line = raw.strip()
-        if not line:
-            continue
-        if line.startswith("#"):
-            m = _HEADER_RE.match(line)
-            if not m:
-                continue
-            if m.group(1) in meta:
-                raise DuplicateName(f"grid header '# {m.group(1)}:' set twice", line=lineno)
-            meta[m.group(1)] = m.group(2)
-        elif error is not None:
-            continue
-        elif not has_columns:
-            has_columns = True
-            try:
-                class_codes, n_fields, mu_columns, kid, kx, ky = _layout(line, lineno)
-            except ParseError as exc:
-                error = exc
-        else:
-            # float() ignores the whitespace around a field; ids are stripped.
-            fields = line.split(",") if '"' not in line else _quoted_fields(line)
-            if fields is None:
-                error = ParseError("quoted field not closed", line=lineno)
-                continue
-            if len(fields) != n_fields:
-                error = ParseError(f"expected {n_fields} fields", line=lineno)
-                continue
-            try:
-                mu = [float(fields[k]) for k in mu_columns]
-                x = float(fields[kx]) if kx is not None and fields[kx].strip() else 0.0
-                y = float(fields[ky]) if ky is not None and fields[ky].strip() else 0.0
-            except ValueError:
-                error = ParseError("non-numeric field in grid row", line=lineno)
-                continue
-            for v in mu:
-                if not 0.0 <= v <= 1.0:  # also false for nan
-                    # index() finds the first bad value: an equal one before it is bad too,
-                    # and a nan is found by identity.
-                    error = ParseError(f"mu_{class_codes[mu.index(v)]} = {v} is outside [0,1]",
-                                       line=lineno)
-                    break
+    lines = _lines(source)
+    lineno = 0
+    while True:
+        fast = cols is not None and error is None
+        block = list(islice(lines, min(cols - len(ids), _BLOCK) if fast else 1))
+        if not block:
+            break
+        read = fast and _block_columns(block, n_fields, mu_columns, kid, kx, ky)
+        if read:
+            lineno += len(block)
+            n += len(block)
+            if ids:
+                for have, more in zip((ids, xs, ys, *mus), (*read[:3], *read[3])):
+                    have += more
             else:
-                if not (math.isfinite(x) and math.isfinite(y)):
-                    name, v = ("y", y) if math.isfinite(x) else ("x", x)
-                    error = ParseError(f"{name} = {v} is not finite", line=lineno)
-                    continue
-                ids.append("" if kid is None else fields[kid].strip())
-                xs.append(x)
-                ys.append(y)
-                mus.append(mu)
-                n += 1
-                if len(mus) == cols:
-                    yield ids, xs, ys, mus
-                    ids, xs, ys, mus = [], [], [], []
+                ids, xs, ys, mus = read
+            if len(ids) == cols:
+                yield ids, xs, ys, mus
+                ids, xs, ys, mus = [], [], [], [[] for _ in mus]
             continue
-        # A header or the column line was read: the shape may be complete now.
-        if cols is None and len(meta) == 3 and has_columns:
-            try:
-                shape = _grid_shape(meta, has_columns, error)
-            except ParseError:  # raised again, in order, after the last line
+        for raw in block:
+            lineno += 1
+            line = raw.strip()
+            if not line:
                 continue
-            cols = shape[2]
-            yield (*shape, class_codes)
-            full = len(mus) - len(mus) % cols
-            for i in range(0, full, cols):
-                yield ids[i:i + cols], xs[i:i + cols], ys[i:i + cols], mus[i:i + cols]
-            ids, xs, ys, mus = ids[full:], xs[full:], ys[full:], mus[full:]
+            if line.startswith("#"):
+                m = _HEADER_RE.match(line)
+                if not m:
+                    continue
+                if m.group(1) in meta:
+                    raise DuplicateName(f"grid header '# {m.group(1)}:' set twice", line=lineno)
+                meta[m.group(1)] = m.group(2)
+            elif error is not None:
+                continue
+            elif not has_columns:
+                has_columns = True
+                try:
+                    class_codes, n_fields, mu_columns, kid, kx, ky = _layout(line, lineno)
+                except ParseError as exc:
+                    error = exc
+                else:
+                    mus = [[] for _ in class_codes]
+            else:
+                # float() ignores the whitespace around a field; ids are stripped.
+                fields = line.split(",") if '"' not in line else _quoted_fields(line)
+                if fields is None:
+                    error = ParseError("quoted field not closed", line=lineno)
+                    continue
+                if len(fields) != n_fields:
+                    error = ParseError(f"expected {n_fields} fields", line=lineno)
+                    continue
+                try:
+                    mu = [float(fields[k]) for k in mu_columns]
+                    x = 0.0 if kx is None else _position(fields[kx])
+                    y = 0.0 if ky is None else _position(fields[ky])
+                except ValueError:
+                    error = ParseError("non-numeric field in grid row", line=lineno)
+                    continue
+                for v in mu:
+                    if not 0.0 <= v <= 1.0:  # also false for nan
+                        # index() finds the first bad value: an equal one before it is bad too,
+                        # and a nan is found by identity.
+                        error = ParseError(f"mu_{class_codes[mu.index(v)]} = {v} is outside [0,1]",
+                                           line=lineno)
+                        break
+                else:
+                    if not (math.isfinite(x) and math.isfinite(y)):
+                        name, v = ("y", y) if math.isfinite(x) else ("x", x)
+                        error = ParseError(f"{name} = {v} is not finite", line=lineno)
+                        continue
+                    ids.append("" if kid is None else fields[kid].strip())
+                    xs.append(x)
+                    ys.append(y)
+                    for col, v in zip(mus, mu):
+                        col.append(v)
+                    n += 1
+                    if len(ids) == cols:
+                        yield ids, xs, ys, mus
+                        ids, xs, ys, mus = [], [], [], [[] for _ in mus]
+                continue
+            # A header or the column line was read: the shape may be complete now.
+            if cols is None and len(meta) == 3 and has_columns:
+                try:
+                    shape = _grid_shape(meta, has_columns, error)
+                except ParseError:  # raised again, in order, after the last line
+                    continue
+                cols = shape[2]
+                yield (*shape, class_codes)
+                full = len(ids) - len(ids) % cols
+                for i in range(0, full, cols):
+                    yield ids[i:i + cols], xs[i:i + cols], ys[i:i + cols], [m[i:i + cols] for m in mus]
+                ids, xs, ys, mus = ids[full:], xs[full:], ys[full:], [m[full:] for m in mus]
     topology, rows, cols = _grid_shape(meta, has_columns, error)
     _check_shape(topology, rows, cols, n)
 
@@ -361,7 +465,8 @@ def read_grid_csv(text: str) -> SampleGrid:
     """
     rows = read_grid_rows(text)
     topology, n_rows, cols, class_codes = next(rows)
-    spots = [Spot(dict(zip(class_codes, mu)), id, x, y) for row in rows for id, x, y, mu in zip(*row)]
+    spots = [Spot(dict(zip(class_codes, mu)), id, x, y)
+             for ids, xs, ys, mus in rows for id, x, y, mu in zip(ids, xs, ys, zip(*mus))]
     return SampleGrid(topology, n_rows, cols, spots, class_codes)
 
 
@@ -372,15 +477,18 @@ def map_csv_lines(names, xs, ys, pre, post) -> tuple:
     """The pre and post map CSV text of one grid row.
 
     ``pre`` and ``post`` are the row's columns as map_rows yields them,
-    and ``names[k]`` is the label written for label k. A spot's x and y
-    are formatted once for both maps, and so is its line, unless it was
+    and ``names[k]`` is the label written for label k. The x, y and
+    confidence columns are formatted whole, x and y once for both maps,
+    and a spot's line is made once for both, unless it was
     neighbor-assigned.
     """
-    xy = [f"{fmt(x)},{fmt(y)}," for x, y in zip(xs, ys)]
-    lines = [f"{p}{names[k]},{fmt(conf)},false\n" for p, k, conf in zip(xy, *pre)]
+    spec = repeat(FMT_SPEC)
+    xs, ys = list(map(format, xs, spec)), list(map(format, ys, spec))
+    labels, confs = pre
+    lines = [f"{x},{y},{names[k]},{conf},false\n"
+             for x, y, k, conf in zip(xs, ys, labels, map(format, confs, spec))]
     pre_text = "".join(lines)
     labels, confs, assigned = post
-    for i in assigned:
-        lines[i] = f"{xy[i]}{names[labels[i]]},{fmt(confs[i])},true\n"
+    for i, conf in zip(assigned, map(format, map(confs.__getitem__, assigned), spec)):
+        lines[i] = f"{xs[i]},{ys[i]},{names[labels[i]]},{conf},true\n"
     return pre_text, "".join(lines)
-

@@ -4,6 +4,8 @@
   f_not(), with membership() as each term's law and peak_abundance() as
   each ion's lookup; classify.compile_rules() and fuzzy.compile_expr()
   must equal them bit for bit;
+- read_grid_rows_by_line() parses a grid file one line at a time;
+  spatial.read_grid_rows() must give the same rows and the same errors;
 - harden_values() hardens a ``{code: membership}`` dict, and
   smoothed_membership() smooths one spot's membership of one class;
   render_class_map(), render_membership_map() and write_ppm() draw whole
@@ -15,11 +17,19 @@ from functools import reduce
 from itertools import chain
 from operator import add
 
-from spectraclass.errors import DomainError, NoClasses
+from spectraclass.errors import DomainError, DuplicateName, NoClasses, ParseError
 from spectraclass.fuzzy import And, Not, Or, Term
 from spectraclass.pixmap import BASALT_PALETTE
 from spectraclass.rulebase import UNK
-from spectraclass.spatial import neighbors
+from spectraclass.spatial import (
+    _HEADER_RE,
+    _check_shape,
+    _grid_shape,
+    _layout,
+    _lines,
+    _quoted_fields,
+    neighbors,
+)
 from spectraclass.spectrum import window_slice
 
 
@@ -131,3 +141,88 @@ def render_class_map(cells, palette=None) -> list:
 def render_membership_map(grid, gamma: str) -> list:
     """One grey pixel per spot: class ``gamma``'s membership times 255, rounded."""
     return [(g, g, g) for g in (round(spot.membership[gamma] * 255) for spot in grid.spots)]
+
+
+def read_grid_rows_by_line(source):
+    """spatial.read_grid_rows() with every line read alone, as it was before it read blocks.
+
+    Each row's memberships are one list per spot, in ``class_codes``
+    order, where read_grid_rows() gives one column per class. The shape,
+    the rows otherwise, the errors and their lines must be the same.
+    """
+    meta = {}
+    has_columns = False
+    error = None  # the first malformed data line; headers are still read after it
+    cols = None  # set once the shape is yielded
+    ids, xs, ys, mus = [], [], [], []  # the columns of the spots not yet yielded
+    n = 0
+    for lineno, raw in enumerate(_lines(source), 1):
+        line = raw.strip()
+        if not line:
+            continue
+        if line.startswith("#"):
+            m = _HEADER_RE.match(line)
+            if not m:
+                continue
+            if m.group(1) in meta:
+                raise DuplicateName(f"grid header '# {m.group(1)}:' set twice", line=lineno)
+            meta[m.group(1)] = m.group(2)
+        elif error is not None:
+            continue
+        elif not has_columns:
+            has_columns = True
+            try:
+                class_codes, n_fields, mu_columns, kid, kx, ky = _layout(line, lineno)
+            except ParseError as exc:
+                error = exc
+        else:
+            # float() ignores the whitespace around a field; ids are stripped.
+            fields = line.split(",") if '"' not in line else _quoted_fields(line)
+            if fields is None:
+                error = ParseError("quoted field not closed", line=lineno)
+                continue
+            if len(fields) != n_fields:
+                error = ParseError(f"expected {n_fields} fields", line=lineno)
+                continue
+            try:
+                mu = [float(fields[k]) for k in mu_columns]
+                x = float(fields[kx]) if kx is not None and fields[kx].strip() else 0.0
+                y = float(fields[ky]) if ky is not None and fields[ky].strip() else 0.0
+            except ValueError:
+                error = ParseError("non-numeric field in grid row", line=lineno)
+                continue
+            for v in mu:
+                if not 0.0 <= v <= 1.0:  # also false for nan
+                    # index() finds the first bad value: an equal one before it is bad too,
+                    # and a nan is found by identity.
+                    error = ParseError(f"mu_{class_codes[mu.index(v)]} = {v} is outside [0,1]",
+                                       line=lineno)
+                    break
+            else:
+                if not (math.isfinite(x) and math.isfinite(y)):
+                    name, v = ("y", y) if math.isfinite(x) else ("x", x)
+                    error = ParseError(f"{name} = {v} is not finite", line=lineno)
+                    continue
+                ids.append("" if kid is None else fields[kid].strip())
+                xs.append(x)
+                ys.append(y)
+                mus.append(mu)
+                n += 1
+                if len(mus) == cols:
+                    yield ids, xs, ys, mus
+                    ids, xs, ys, mus = [], [], [], []
+            continue
+        # A header or the column line was read: the shape may be complete now.
+        if cols is None and len(meta) == 3 and has_columns:
+            try:
+                shape = _grid_shape(meta, has_columns, error)
+            except ParseError:  # raised again, in order, after the last line
+                continue
+            cols = shape[2]
+            yield (*shape, class_codes)
+            full = len(mus) - len(mus) % cols
+            for i in range(0, full, cols):
+                yield ids[i:i + cols], xs[i:i + cols], ys[i:i + cols], mus[i:i + cols]
+            ids, xs, ys, mus = ids[full:], xs[full:], ys[full:], mus[full:]
+    topology, rows, cols = _grid_shape(meta, has_columns, error)
+    _check_shape(topology, rows, cols, n)

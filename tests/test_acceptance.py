@@ -156,7 +156,8 @@ def test_criterion_5_spatial_smoothing():
         mus = [[rng.random() for _ in codes] for _ in range(12)]
         topology = rng.choice(("rectangular", "hexagonal"))
         g = SampleGrid(topology, 3, 4, [Spot(dict(zip(codes, mu))) for mu in mus], codes)
-        rows = [([""] * 4, [0.0] * 4, [0.0] * 4, mus[r * 4:r * 4 + 4]) for r in range(3)]
+        rows = [([""] * 4, [0.0] * 4, [0.0] * 4, [list(col) for col in zip(*mus[r * 4:r * 4 + 4])])
+                for r in range(3)]
         pre = [k for _, (labels, _), _ in map_rows(topology, rows, 0.5) for k in labels]
         post = reclassify_map(g, 0.5)
         for k, q in zip(pre, post.cells):

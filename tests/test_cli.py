@@ -468,6 +468,14 @@ class TestStatsCmd:
             assert main(argv) == EX_OK
         assert_written_through(link, real, (tmp_path / "plain" / "spectra_report.csv").read_bytes())
 
+    def test_out_a_dangling_symlink(self, spectra_dir, tmp_path, capsys):
+        link = tmp_path / "rep"
+        link.symlink_to(os.path.join("gone", "reports"))
+        argv = ["stats", str(spectra_dir / "*.csv"), "--group-by", "directory", "--out", str(link)]
+        assert main(argv) == EX_OK
+        assert link.is_symlink()
+        assert [p.name for p in (tmp_path / "gone" / "reports").iterdir()] == ["spectra_report.csv"]
+
     def test_peak_grows_by_the_peak_columns(self, tmp_path, capsys):
         # A consolidated peak is held as 16 bytes of float columns; only one
         # group's peaks at a time become (mz, abundance) pairs of about 112.
@@ -889,6 +897,27 @@ class TestMapStreaming:
         for out in (tmp_path / "plain", link.parent):
             assert main(["map", str(grid), "--out", str(out)]) == EX_OK
         assert_written_through(link, real, (tmp_path / "plain" / "pre.csv").read_bytes())
+
+    def test_out_a_dangling_symlink(self, tmp_path, capsys):
+        link = tmp_path / "rep"
+        link.symlink_to(os.path.join("gone", "maps"))
+        assert main(["map", str(grid_file(tmp_path)), "--out", str(link)]) == EX_OK
+        assert capsys.readouterr().out == f"wrote maps to {link} (1 neighbor-assigned spots)\n"
+        assert link.is_symlink()
+        assert sorted(p.name for p in (tmp_path / "gone" / "maps").iterdir()) == [
+            "mu_AGT.ppm", "mu_ILM.ppm", "mu_OLV.ppm", "mu_PLG.ppm",
+            "post.csv", "post.ppm", "pre.csv", "pre.ppm"]
+
+
+@pytest.mark.parametrize("command", ["map", "stats"])
+def test_out_naming_a_file_fatal(spectra_dir, tmp_path, capsys, command):
+    out = tmp_path / "file"
+    out.write_text("old\n")
+    inputs = {"map": [str(grid_file(tmp_path))],
+              "stats": [str(spectra_dir / "*.csv"), "--group-by", "directory"]}[command]
+    assert main([command, *inputs, "--out", str(out)]) == EX_FATAL
+    assert capsys.readouterr().err == f"spectraclass: error: [Errno 17] File exists: '{out}'\n"
+    assert out.read_text() == "old\n"
 
 
 class TestValidateCmd:

@@ -10,7 +10,14 @@ from unittest import mock
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from reference import harden_values, render_class_map, render_membership_map, smoothed_membership, write_ppm
+from reference import (
+    harden_values,
+    read_grid_rows_by_line,
+    render_class_map,
+    render_membership_map,
+    smoothed_membership,
+    write_ppm,
+)
 from spectraclass import spatial
 from spectraclass.classify import UNK, fmt
 from spectraclass.cli import main
@@ -329,6 +336,32 @@ class TestReclassifyReference:
         assert key(reclassify_map(grid, nu, floor).cells) == expected
 
 
+@st.composite
+def grids_without_interior(draw):
+    """1xN, Nx1 and 2x2 grids: every spot is on the border, so none has a full ring of neighbors."""
+    n = draw(st.integers(1, 6))
+    rows, cols = draw(st.sampled_from([(1, n), (n, 1), (2, 2)]))
+    topology = draw(st.sampled_from([RECTANGULAR, HEXAGONAL]))
+    codes = CODES[:draw(st.integers(1, len(CODES)))]
+    spots = [Spot({c: draw(membership_values) for c in codes}) for _ in range(rows * cols)]
+    return SampleGrid(topology, rows, cols, spots, codes)
+
+
+class TestSmoothingEdges:
+    # Neighbors of -0.0 only: summed from +0.0 they give +0.0, so a -0.0 spot smooths to +0.0.
+    @given(grids_without_interior(), st.sampled_from([0.5, 1.0]) | st.floats(0.0, 1.0),
+           st.none() | st.floats(0.0, 2.0))
+    @example(grid_from(2, 2, [uniform(-0.0)] * 4), 0.5, None)
+    @example(grid_from(2, 2, [uniform(-0.0)] * 4, HEXAGONAL), 0.5, 0.0)
+    @example(grid_from(1, 3, [uniform(-0.0)] * 3, HEXAGONAL), 1.0, None)
+    @example(grid_from(3, 3, [uniform(-0.0)] * 9, HEXAGONAL), 0.5, None)  # the center's sums are columns
+    def test_equals_reference(self, grid, nu, floor):
+        def key(cells):  # repr tells -0.0 from 0.0, which == does not
+            return [(c.label, repr(c.confidence), c.neighbor_assigned) for c in cells]
+
+        assert key(reclassify_map(grid, nu, floor).cells) == key(reference_map(grid, nu, floor))
+
+
 line_breaks = st.sampled_from(["\n", "\r\n", "\r", "\x0b", "\x1c", "\x85", "\u2028"])
 
 
@@ -462,3 +495,115 @@ class TestMapCliReference:
                                                  options["palette"])
             assert {p.name: p.read_bytes() for p in (root / "out").iterdir()} == files
             assert out.getvalue() == f"wrote maps to {root / 'out'} ({assigned} neighbor-assigned spots)\n"
+
+
+# Spellings of a spot line over classes A and B, {i} being its index.
+SPOT_LINES = ["s{i},{i},1,X,0,0.25,0.75", "s{i},-0,0,X,0,-0.0,1", "s{i},1e-7,123456789,X,0,1,0",
+              "s{i},,,X,0,0.5,0.5", "  s{i} , 2 , 3 ,X,0, 0.5 ,0.125\t", '"s,{i}",0,0,X,0,0.5,0.5',
+              '"q{i}",1,1,X,0,0.5,0.5', "s\u00e9{i},0,0,X,0,0.5,0.5"]
+# Lines that hold no spot, or that end the run in an error.
+OTHER_LINES = ["", "  \t", "# a comment", "#s,0,0,X,0,0.5,0.5", "# cols: 3", "# rows: 2",
+               "s,nan,0,X,0,0.5,0.5", "s,0,inf,X,0,0.5,0.5", "s,0,1e999,X,0,0.5,0.5", "s,0,0,X,0,nan,0.5",
+               "s,0,0,X,0,1.5,0.5", "s,0,0,X,0,0.5,-0.25", "s,0,0,X,0,0.5", "s,0,0,X,0,0.5,0.5,7",
+               "s,0,0,X,0,abc,0.5", '"s,0,0,X,0,0.5,0.5', ",,,", "s;0;0;X;0;0.5;0.5",
+               "s,0,0,X,0,0.5,0.5,0.5\n0,0,X,0,0.5,0.5"]  # as many commas as two good lines
+
+
+@st.composite
+def grid_texts(draw):
+    """Grid file text over classes A and B: mostly spot lines, a few others, headers anywhere."""
+    cols = draw(st.integers(1, 4))
+    n_rows = draw(st.integers(1, 4))
+    spots = [draw(st.sampled_from(SPOT_LINES)).format(i=i) for i in range(cols * n_rows)]
+    lines = ["id,x,y,label,confidence,mu_A,mu_B", *spots]
+    for line in draw(st.lists(st.sampled_from(OTHER_LINES), max_size=3)):
+        lines.insert(draw(st.integers(1, len(lines))), line)
+    rows = n_rows + draw(st.sampled_from([0, 0, 0, 1]))  # at times a wrong spot count
+    for header in (f"# topology: {draw(st.sampled_from(['rect', 'hex', 'tri']))}",
+                   f"# rows: {rows}", f"# cols: {cols}"):
+        lines.insert(draw(st.sampled_from([0, 0, draw(st.integers(0, len(lines)))])), header)
+    line_break = draw(st.sampled_from(["\n", "\n", "\r\n"]))
+    return line_break.join(lines) + draw(st.sampled_from(["", line_break]))
+
+
+def read_outcome(read, text):
+    """The items ``read`` yields from ``text``, then the error it ends with, if any, as its type and text."""
+    items = []
+    try:
+        for item in read(text):
+            items.append(item)
+    except (ParseError, ValueError) as exc:
+        return items, (type(exc).__name__, str(exc))
+    return items, None
+
+
+def comparable(items, by_class):
+    """The shape, then each row with one membership list per spot and each float as its repr, -0.0 apart.
+
+    ``by_class`` says the rows hold one membership column per class.
+    """
+    out = items[:1]
+    for ids, xs, ys, mus in items[1:]:
+        spots = zip(*mus) if by_class else mus
+        out.append((ids, [*map(repr, xs)], [*map(repr, ys)], [[*map(repr, mu)] for mu in spots]))
+    return out
+
+
+class TestBlockReading:
+    @settings(max_examples=300, deadline=None)
+    @given(grid_texts(), st.integers(1, 5), st.integers(3, 64))
+    @example("# topology: rect\n# rows: 1\n# cols: 2\nid,x,y,mu_A\ns,0,0,0.5\n\n", 1, 64)
+    @example("# topology: rect\n# rows: 2\n# cols: 2\nid,x,y,mu_A\ns,0,0,0.5\ns,0,0,0.5\n"
+             "s,0,0,0.5\n# cols: 2\ns,0,0,0.5\n", 2, 8)
+    @example("# topology: rect\n# rows: 1\n# cols: 2\nid,x,y,mu_A\ns,0,0,0.5,0.5\n0,0.5,0.5\n", 2, 64)
+    def test_rows_and_errors_equal_the_line_loop(self, text, block, chunk):
+        # A block of 1-5 lines and pieces of a few characters put each line at every offset.
+        with mock.patch.object(spatial, "_BLOCK", block), mock.patch.object(spatial, "_CHUNK", chunk):
+            items, error = read_outcome(spatial.read_grid_rows, text)
+        expected_items, expected_error = read_outcome(read_grid_rows_by_line, text)
+        assert comparable(items, True) == comparable(expected_items, False)
+        assert error == expected_error
+
+    def test_block_path_reads_a_plain_grid(self):
+        text = "# topology: rect\n# rows: 2\n# cols: 3\nid,x,y,mu_A\n" + "s,1,2,0.5\n" * 6
+        with mock.patch.object(spatial, "_block_columns", wraps=spatial._block_columns) as block_columns:
+            rows = list(spatial.read_grid_rows(text))[1:]
+        assert [call.args[0] for call in block_columns.call_args_list] == [["s,1,2,0.5"] * 3] * 2
+        assert rows == [(["s"] * 3, [1.0] * 3, [2.0] * 3, [[0.5] * 3])] * 2
+
+
+class TestPositionBytes:
+    SPOTS = [("-0", "0"), ("0", "-0"), ("1e-7", "123456789"), ("", ""), ("123456789", "1e-7")]
+    EXPECTED = ["-0,0", "0,-0", "1e-07,1.23457e+08", "0,0", "1.23457e+08,1e-07"]
+
+    def map_positions(self, tmp_path, lines, cols):
+        """The x,y of each pre.csv line of `map` over ``lines``, and the blocks read whole."""
+        grid = tmp_path / "grid.csv"
+        grid.write_text(f"# topology: rect\n# rows: 1\n# cols: {cols}\nid,x,y,mu_A,mu_B\n"
+                        + "".join(f"{line}\n" for line in lines))
+        block_reader, read = spatial._block_columns, []
+
+        def block_columns(block, *layout):
+            columns = block_reader(block, *layout)
+            if columns is not None:
+                read.append(block)
+            return columns
+
+        with mock.patch.object(spatial, "_block_columns", block_columns), \
+                contextlib.redirect_stdout(io.StringIO()):
+            assert main(["map", str(grid), "--out", str(tmp_path / "out")]) == 0
+        pre = (tmp_path / "out" / "pre.csv").read_text().splitlines()[1:]
+        return [",".join(line.split(",")[:2]) for line in pre], read
+
+    def test_block_path(self, tmp_path):
+        lines = [f"s,{x},{y},0.75,0.25" for x, y in self.SPOTS]
+        positions, read = self.map_positions(tmp_path, lines, len(lines))
+        assert read == [lines]
+        assert positions == self.EXPECTED
+
+    def test_line_path(self, tmp_path):
+        # The comment shares the spots' block, so the line loop reads them; a plain spot follows.
+        lines = ["# a comment"] + [f"s,{x},{y},0.75,0.25" for x, y in self.SPOTS] + ["s,9,9,0.75,0.25"]
+        positions, read = self.map_positions(tmp_path, lines, len(self.SPOTS) + 1)
+        assert read == [["s,9,9,0.75,0.25"]]
+        assert positions == self.EXPECTED + ["9,9"]
