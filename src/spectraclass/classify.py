@@ -131,7 +131,6 @@ class BatchResult:
     id: str
     membership: Optional[MembershipVector]
     classification: Optional[Classification]
-    position: Optional[tuple] = None
     error: Optional[str] = None
 
 
@@ -175,7 +174,7 @@ def classify_iter(sources, rb: RuleBase, workers: int = 1):
         try:
             s = _resolve(source, sid)
             mv = classify_spectrum(s)
-            return BatchResult(sid, mv, harden(mv, nu), position=s.position)
+            return BatchResult(sid, mv, harden(mv, nu))
         except (SpectraClassError, OSError, ValueError) as exc:
             return BatchResult(sid, None, None, error=str(exc))
 
@@ -217,15 +216,13 @@ def _csv_field(text: str) -> str:
 
 
 def write_batch_csv(results, class_codes, stream) -> None:
-    """Batch result CSV: id, x, y, label, confidence, one mu column per class."""
+    """Batch result CSV: id, x, y, label, confidence, one mu column per class; x and y are written empty."""
     header = ["id", "x", "y", "label", "confidence"] + [f"mu_{c}" for c in class_codes]
     stream.write(",".join(header) + "\n")
     for r in results:
-        x = fmt(r.position[0]) if r.position else ""
-        y = fmt(r.position[1]) if r.position else ""
         if r.error is not None:
-            row = [_csv_field(r.id), x, y, "ERROR", ""] + [""] * len(class_codes)
+            row = [_csv_field(r.id), "", "", "ERROR", ""] + [""] * len(class_codes)
         else:
-            row = [_csv_field(r.id), x, y, r.classification.label, fmt(r.classification.confidence)]
+            row = [_csv_field(r.id), "", "", r.classification.label, fmt(r.classification.confidence)]
             row += [fmt(r.membership.values[c]) for c in class_codes]
         stream.write(",".join(row) + "\n")

@@ -26,13 +26,6 @@ _HEX_ODD = ((-1, 0), (-1, 1), (0, -1), (0, 1), (1, 0), (1, 1))
 _MOORE = ((-1, -1), (-1, 0), (-1, 1), (0, -1), (0, 1), (1, -1), (1, 0), (1, 1))
 
 
-class _LeftFold(float):
-    """+0.0 as a float subclass: sum() from it adds left to right; 3.12+ compensates from 0 or 0.0."""
-
-
-_LEFT_FOLD = _LeftFold()
-
-
 @dataclass(slots=True)
 class Spot:
     membership: dict  # class code -> [0,1]
@@ -116,24 +109,6 @@ def _grid_rows(grid: SampleGrid):
                [[s.membership[c] for s in spots] for c in codes])
 
 
-def _neighbor_means(topology: str, r: int, window, c: int) -> tuple:
-    """Spot c of grid row r smoothed: its memberships plus its neighbors' means, per class.
-
-    ``window`` holds the class columns of rows r-1, r and r+1, None for a
-    row outside the grid. Each class's neighbor values are summed left to
-    right from +0.0 in neighbors() order; a spot with no neighbors keeps
-    its raw values.
-    """
-    mus = window[1]
-    cols = len(mus[0])
-    around = [(window[1 + dr], c + dc) for dr, dc in _steps(topology, r)
-              if window[1 + dr] is not None and 0 <= c + dc < cols]
-    if not around:
-        return tuple(mu[c] for mu in mus)
-    n = len(around)
-    return tuple(mu[c] + sum([row[j][k] for row, k in around], _LEFT_FOLD) / n for j, mu in enumerate(mus))
-
-
 def map_rows(topology: str, rows, nu: float, floor: Optional[float] = None):
     """Harden and smooth a grid row by row: yield ``(row, pre, post)`` for each row.
 
@@ -149,45 +124,59 @@ def map_rows(topology: str, rows, nu: float, floor: Optional[float] = None):
     Pre labels and confidences are harden_spots()'s at nu; every spot at
     or above nu keeps them after smoothing. A spot below nu adds to each
     class's raw membership the mean of its neighbors' raw memberships of
-    that class, summed left to right from +0.0 in neighbors() order (a
-    spot with no neighbors keeps its raw values), and is hardened again
-    at ``floor``, keeping its pre label and confidence if that gives UNK;
-    a smoothed confidence may exceed 1. Off the border, each class's sums
-    for all of a row's spots below nu are one chain of map(add) over
-    shifted slices of the three rows' columns; spots on the border go
-    through _neighbor_means().
+    that class, and is hardened again at ``floor``, keeping its pre label
+    and confidence if that gives UNK; a smoothed confidence may exceed 1.
+
+    Each row is padded once, as it is read: every class column gets a
+    +0.0 at both ends, and a column of 1.0s padded the same way counts
+    neighbors; a row outside the grid is all +0.0. Then, for every spot
+    below nu at once, each column's neighbor sums are one chain of
+    map(add), from +0.0 in neighbors() order, over the three rows'
+    padded columns, each compress()-ed by the sub-nu mask shifted by the
+    step's column offset. The running sum is never -0.0, so a padded +0.0
+    leaves it unchanged: each sum is the one taken left to right over the
+    spot's neighbors inside the grid. The spot of a 1x1 grid, the only
+    one with no neighbors, keeps its raw values.
     """
     smoothed_nu = -math.inf if floor is None else floor
     rows = iter(rows)
-    row, below = None, next(rows, None)
+    below = next(rows, None)
+    if below is None:
+        return
+    cols = len(below[0])
+    ones = [0.0, *repeat(1.0, cols), 0.0]
+    outside = [[0.0] * (cols + 2)] * (len(below[3]) + 1)
+
+    def padded(row):
+        """The padded class columns of ``row``, then its padded count column; outside if row is None."""
+        return outside if row is None else [*([0.0, *mu, 0.0] for mu in row[3]), ones]
+
+    window = [outside, padded(below)]  # rows r-1 and r, once row r+1 is appended
     r = -1
     while below is not None:
-        above, row, below, r = row, below, next(rows, None), r + 1
-        # The class columns of rows r-1, r and r+1; None outside the grid.
-        window = [above and above[3], row[3], below and below[3]]
+        row, below, r = below, next(rows, None), r + 1
+        window = [*window[-2:], padded(below)]
         spots = list(zip(*row[3]))
-        cols = len(spots)
         labels, confs = harden_spots(spots, nu)
         post_labels, post_confs = labels[:], confs[:]
         assigned = [c for c, k in enumerate(labels) if k < 0]
         if assigned:
-            if above and below and cols > 2:
-                # The assigned spots off the border, each class's sums for all of them at once.
-                steps = _steps(topology, r)
-                inner = [k < 0 for k in labels[1:-1]]
-                means = []
-                for j, mu in enumerate(row[3]):
-                    total = repeat(0.0)
-                    for dr, dc in steps:
-                        total = map(add, total, compress(window[1 + dr][j][1 + dc:cols - 1 + dc], inner))
-                    means.append(map(add, compress(mu[1:-1], inner), map(truediv, total, repeat(len(steps)))))
-                smoothed = list(zip(*means))
-                if labels[0] < 0:
-                    smoothed.insert(0, _neighbor_means(topology, r, window, 0))
-                if labels[-1] < 0:
-                    smoothed.append(_neighbor_means(topology, r, window, cols - 1))
+            steps = _steps(topology, r)
+            below_nu = [k < 0 for k in labels]
+            # Spot c's neighbor at column step dc is item c + 1 + dc of a padded column.
+            select = [below_nu, [False, *below_nu], [False, False, *below_nu]]
+            totals = []
+            for columns in zip(*window):  # a class's padded columns in rows r-1, r and r+1, the counts' last
+                total = repeat(0.0)
+                for dr, dc in steps:
+                    total = map(add, total, compress(columns[1 + dr], select[1 + dc]))
+                totals.append(total)
+            n = list(totals.pop())
+            if n == [0.0]:  # the spot of a 1x1 grid
+                smoothed = spots
             else:
-                smoothed = [_neighbor_means(topology, r, window, c) for c in assigned]
+                smoothed = list(zip(*[map(add, compress(mu, below_nu), map(truediv, total, n))
+                                      for mu, total in zip(row[3], totals)]))
             for c, k, conf in zip(assigned, *harden_spots(smoothed, smoothed_nu)):
                 if k >= 0:  # else the floor keeps the spot UNK, with its raw confidence
                     post_labels[c], post_confs[c] = k, conf

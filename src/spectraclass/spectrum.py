@@ -44,7 +44,6 @@ class Spectrum:
 
     points: tuple
     id: str = ""
-    position: Optional[tuple] = None
 
     def __post_init__(self):
         pts = tuple((float(mz), float(ab)) for mz, ab in self.points)
@@ -62,10 +61,10 @@ class Spectrum:
         object.__setattr__(self, "points", pts)
 
     @classmethod
-    def _trusted(cls, points: tuple, id: str = "", position=None) -> "Spectrum":
+    def _trusted(cls, points: tuple, id: str = "") -> "Spectrum":
         """A Spectrum from float points that already meet the invariants, unchecked."""
         s = object.__new__(cls)
-        s.__dict__.update(points=points, id=id, position=position)
+        s.__dict__.update(points=points, id=id)
         return s
 
     @cached_property
@@ -77,7 +76,7 @@ class Spectrum:
         return max(p[1] for p in self.points)
 
 
-def parse_spectrum(text: str, id="", position=None) -> Spectrum:
+def parse_spectrum(text: str, id="") -> Spectrum:
     """Parse a csv peak list, ``mz,abundance`` per line.
 
     Blank lines and ``#`` comments are skipped. Duplicate m/z rows merge
@@ -90,13 +89,13 @@ def parse_spectrum(text: str, id="", position=None) -> Spectrum:
     and its line number comes from. Both give the same points.
     """
     if "#" not in text and "-" not in text:
-        s = _parse_columns(text, id, position)
+        s = _parse_columns(text, id)
         if s is not None:
             return s
-    return _parse_lines(text, id, position)
+    return _parse_lines(text, id)
 
 
-def _parse_columns(text: str, id, position) -> Optional[Spectrum]:
+def _parse_columns(text: str, id) -> Optional[Spectrum]:
     """The Spectrum of plain csv text from whole-column checks, or None to read it by line.
 
     The caller has ruled out ``#`` and ``-``, so every finite field reads
@@ -124,17 +123,17 @@ def _parse_columns(text: str, id, position) -> Optional[Spectrum]:
     if all(map(lt, mzs, islice(mzs, 1, None))):
         if not mzs[0] > 0.0:
             return None
-        s = Spectrum._trusted(tuple(zip(mzs, abundances)), id=id, position=position)
+        s = Spectrum._trusted(tuple(zip(mzs, abundances)), id=id)
         s.__dict__["mzs"] = mzs
     elif min(mzs) > 0.0:
-        s = Spectrum._trusted(_merge(list(zip(mzs, abundances))), id=id, position=position)
+        s = Spectrum._trusted(_merge(list(zip(mzs, abundances))), id=id)
     else:
         return None
     s.__dict__["max_abundance"] = max(abundances)
     return s
 
 
-def _parse_lines(text: str, id="", position=None) -> Spectrum:
+def _parse_lines(text: str, id="") -> Spectrum:
     """Read ``text`` line by line, checking each row once; the source of every parse error."""
     pts = []
     for lineno, raw in enumerate(text.splitlines(), 1):
@@ -154,7 +153,7 @@ def _parse_lines(text: str, id="", position=None) -> Spectrum:
         pts.append((mz, ab + 0.0))  # + 0.0 reads an abundance of -0 as 0
     if not pts:
         raise EmptySpectrum("no peaks in input")
-    return Spectrum._trusted(_merge(pts), id=id, position=position)
+    return Spectrum._trusted(_merge(pts), id=id)
 
 
 def _merge(pts: list) -> tuple:
@@ -191,8 +190,7 @@ def normalize(s: Spectrum, excluded: Iterable[IonTarget] = (), eps: float = 0.2)
     factor = scale_factor(s, excluded, eps)
     # scale_factor() keeps every scaled point finite; a positive factor
     # keeps them sorted and non-negative.
-    return Spectrum._trusted(tuple((mz, ab * factor) for mz, ab in s.points),
-                             id=s.id, position=s.position)
+    return Spectrum._trusted(tuple((mz, ab * factor) for mz, ab in s.points), id=s.id)
 
 
 def window_slice(mzs, mz: float, eps: float) -> tuple:

@@ -22,7 +22,7 @@ ION_MZ = {
 }
 
 
-def make_spectrum(abundances, id="", position=None, filler=100.0):
+def make_spectrum(abundances, id="", filler=100.0):
     """Spectrum from {ion symbol or m/z: abundance}; adds a filler base peak."""
     points = {}
     if filler is not None:
@@ -30,7 +30,7 @@ def make_spectrum(abundances, id="", position=None, filler=100.0):
     for key, ab in abundances.items():
         mz = ION_MZ[key] if isinstance(key, str) else float(key)
         points[mz] = ab
-    return Spectrum(tuple(sorted(points.items())), id=id, position=position)
+    return Spectrum(tuple(sorted(points.items())), id=id)
 
 
 def spectrum_csv(abundances, filler=100.0):

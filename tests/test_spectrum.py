@@ -166,14 +166,14 @@ class TestColumnParse:
     @given(spectra())
     def test_plain_text_takes_column_pass(self, s):
         text = serialize_spectrum(s)
-        assert _parse_columns(text, "", None).points == s.points
+        assert _parse_columns(text, "").points == s.points
 
     @pytest.mark.parametrize("text", [
         "1,2,3\n4", "26.98,40\n\n55.95,100", "26.98,40\r\n", "26.98,4é", "1,nan", "1,1e999",
         "0,1", "2,1\n0,1", "1,abc", "",
     ])
     def test_falls_back(self, text):
-        assert _parse_columns(text, "", None) is None
+        assert _parse_columns(text, "") is None
 
 
 class TestDirectConstruction:
