@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
 from itertools import islice, repeat
 from typing import Optional
 
@@ -12,13 +11,16 @@ from .files import read_text, stem
 from .fuzzy import compile_expr, term_names
 from .rulebase import UNK, RuleBase
 from .spectrum import Spectrum, parse_spectrum, scale_factor, window_slice
+from .value import Frozen, Value
 
 
-@dataclass(frozen=True)
-class MembershipVector:
+class MembershipVector(Frozen):
     """Per-class membership values, each in [0,1], and the unknown membership derived from them."""
 
-    values: dict
+    __slots__ = _fields = ("values",)
+
+    def __init__(self, values: dict):
+        object.__setattr__(self, "values", values)
 
     @property
     def unk(self) -> float:
@@ -35,10 +37,12 @@ class MembershipVector:
         return cls(dict(values))
 
 
-@dataclass(frozen=True)
-class Classification:
-    label: str  # class code or UNK
-    confidence: float
+class Classification(Frozen):
+    __slots__ = _fields = ("label", "confidence")
+
+    def __init__(self, label: str, confidence: float):
+        object.__setattr__(self, "label", label)  # class code or UNK
+        object.__setattr__(self, "confidence", confidence)
 
 
 def compile_rules(rb: RuleBase):
@@ -126,12 +130,15 @@ def harden(mv: MembershipVector, nu: float) -> Classification:
     return Classification([*mv.values, UNK][index], confidence)
 
 
-@dataclass
-class BatchResult:
-    id: str
-    membership: Optional[MembershipVector]
-    classification: Optional[Classification]
-    error: Optional[str] = None
+class BatchResult(Value):
+    __slots__ = _fields = ("id", "membership", "classification", "error")
+
+    def __init__(self, id: str, membership: Optional[MembershipVector],
+                 classification: Optional[Classification], error: Optional[str] = None):
+        self.id = id
+        self.membership = membership
+        self.classification = classification
+        self.error = error
 
 
 def _source_id(source) -> str:

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import glob
 import math
 import os
@@ -45,6 +44,13 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _path(text: str) -> str:
+    """argparse type for a file or directory path: any text but the empty string, which names none."""
+    if not text:
+        raise argparse.ArgumentTypeError("an empty path names no file")
+    return text
+
+
 def load_rules(spec: str, epsilon=None, nu=None):
     """Resolve `builtin:basalt` or a DSL file path, then apply CLI overrides.
 
@@ -58,7 +64,7 @@ def load_rules(spec: str, epsilon=None, nu=None):
         rb = _read_input(spec, parse_rulebase)
     overrides = {name: value for name, value in (("epsilon", epsilon), ("nu", nu))
                  if value is not None}
-    rb.options = dataclasses.replace(rb.options, **overrides)
+    rb.options = rb.options.replace(**overrides)
     return rb
 
 
@@ -249,9 +255,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_ArgumentParser)
 
     def add_rules(p):
-        p.add_argument("--rules", default=os.environ.get(RULES_ENV, "builtin:basalt"),
+        p.add_argument("--rules", type=_path, default=os.environ.get(RULES_ENV) or "builtin:basalt",
                        help="rule-base DSL path or builtin:basalt "
-                            f"(default from ${RULES_ENV} if set)")
+                            f"(default from ${RULES_ENV} if set and not empty)")
 
     def add_overrides(p):
         p.add_argument("--epsilon", type=float, default=None,
@@ -264,7 +270,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_overrides(p)
     p.add_argument("inputs", nargs="+", help="spectrum files or globs")
     p.add_argument("--workers", type=_positive_int, default=1, help="parallel workers")
-    p.add_argument("--out", help="output CSV path (default stdout)")
+    p.add_argument("--out", type=_path, help="output CSV path (default stdout)")
     p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("stats", help="ensemble statistics and class-vs-ensemble reports")
@@ -274,18 +280,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--group-by", choices=("label", "directory"), default="label")
     p.add_argument("--mode", choices=("present-mean", "zero-inclusive-mean"),
                    default="present-mean")
-    p.add_argument("--out", help="directory for per-group report CSVs")
+    p.add_argument("--out", type=_path, help="directory for per-group report CSVs")
     p.set_defaults(func=cmd_stats)
 
     p = sub.add_parser("map", help="render classification maps with neighbor smoothing")
-    p.add_argument("input", help="grid CSV (batch CSV with topology headers)")
+    p.add_argument("input", type=_path, help="grid CSV (batch CSV with topology headers)")
     p.add_argument("--nu", type=float, default=0.5, help="hard-label threshold (default 0.5)")
     p.add_argument("--floor", type=float, default=None,
                    help="keep a spot UNK when its best smoothed value is below this")
     p.add_argument("--topology", choices=tuple(spatial.TOPOLOGY_ALIASES), default=None,
                    help="override the topology declared in the input headers")
-    p.add_argument("--palette", help="palette file mapping class codes to RGB")
-    p.add_argument("--out", required=True, help="output directory")
+    p.add_argument("--palette", type=_path, help="palette file mapping class codes to RGB")
+    p.add_argument("--out", type=_path, required=True, help="output directory")
     p.set_defaults(func=cmd_map)
 
     p = sub.add_parser("validate-rules", help="parse a rule base and report diagnostics")

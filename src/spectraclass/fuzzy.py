@@ -9,14 +9,13 @@ OR) and makes AND stricter than min.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from operator import itemgetter
 
 from .errors import InvalidThresholds, UnknownTerm
+from .value import Frozen
 
 
-@dataclass(frozen=True)
-class MembershipFn:
+class MembershipFn(Frozen):
     """A high- or low-abundance requirement: finite thresholds l < h with a finite span h - l.
 
     A high requirement's membership of abundance p is 0 for p < l, 1 for
@@ -24,47 +23,52 @@ class MembershipFn:
     classify.compile_rules() evaluates it.
     """
 
-    polarity: str  # "high" | "low"
-    l: float
-    h: float
+    __slots__ = _fields = ("polarity", "l", "h")
 
-    def __post_init__(self):
-        if self.polarity not in ("high", "low"):
-            raise ValueError(f"polarity must be 'high' or 'low', got {self.polarity!r}")
-        if not self.l < self.h:  # also true for a nan threshold
-            raise InvalidThresholds(f"l must be < h, got l={self.l}, h={self.h}")
-        if not self.h - self.l < math.inf:  # also true for an infinite threshold
-            raise InvalidThresholds(f"thresholds need a finite span h - l, got l={self.l}, h={self.h}")
+    def __init__(self, polarity: str, l: float, h: float):
+        if polarity not in ("high", "low"):
+            raise ValueError(f"polarity must be 'high' or 'low', got {polarity!r}")
+        if not l < h:  # also true for a nan threshold
+            raise InvalidThresholds(f"l must be < h, got l={l}, h={h}")
+        if not h - l < math.inf:  # also true for an infinite threshold
+            raise InvalidThresholds(f"thresholds need a finite span h - l, got l={l}, h={h}")
+        object.__setattr__(self, "polarity", polarity)  # "high" | "low"
+        object.__setattr__(self, "l", l)
+        object.__setattr__(self, "h", h)
 
 
 # Expression tree nodes. And/Or are n-ary and flattened by the parser.
 
-@dataclass(frozen=True)
-class Term:
-    name: str
+class Term(Frozen):
+    __slots__ = _fields = ("name",)
+
+    def __init__(self, name: str):
+        object.__setattr__(self, "name", name)
 
 
-@dataclass(frozen=True)
-class And:
-    children: tuple
+class And(Frozen):
+    __slots__ = _fields = ("children",)
 
-    def __post_init__(self):
-        if len(self.children) < 2:
+    def __init__(self, children: tuple):
+        if len(children) < 2:
             raise ValueError("And requires at least 2 children")
+        object.__setattr__(self, "children", children)
 
 
-@dataclass(frozen=True)
-class Or:
-    children: tuple
+class Or(Frozen):
+    __slots__ = _fields = ("children",)
 
-    def __post_init__(self):
-        if len(self.children) < 2:
+    def __init__(self, children: tuple):
+        if len(children) < 2:
             raise ValueError("Or requires at least 2 children")
+        object.__setattr__(self, "children", children)
 
 
-@dataclass(frozen=True)
-class Not:
-    child: object
+class Not(Frozen):
+    __slots__ = _fields = ("child",)
+
+    def __init__(self, child):
+        object.__setattr__(self, "child", child)
 
 
 def compile_expr(expr, index: dict):

@@ -9,48 +9,57 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field, replace
 from importlib import resources
 
 from .errors import DomainError, DuplicateName, InvalidThresholds, ParseError, UnknownTerm
 from .fuzzy import And, MembershipFn, Not, Or, Term, term_names
 from .spectrum import IonTarget
+from .value import Frozen, Value
 
 UNK = "UNK"  # label of a spectrum no class claims; reserved as a class code
 
 
-@dataclass(frozen=True)
-class Options:
-    """Rule-base options, checked when built; frozen, so change one with dataclasses.replace()."""
+class Options(Frozen):
+    """Rule-base options, checked when built; frozen, so change one with Options.replace()."""
 
-    epsilon: float = 0.2  # m/z match window; implementation default, overridable per file
-    nu: float = 0.5
-    normalize_excluding: tuple = ()
+    __slots__ = _fields = ("epsilon", "nu", "normalize_excluding")
 
-    def __post_init__(self):
+    def __init__(self, epsilon: float = 0.2, nu: float = 0.5, normalize_excluding: tuple = ()):
+        # epsilon is the m/z match window; an implementation default, overridable per file.
         errors = []
-        if not 0.0 < self.epsilon < math.inf:
-            errors.append(f"epsilon must be finite and > 0, got {self.epsilon}")
-        if not 0.0 <= self.nu <= 1.0:
-            errors.append(f"nu out of range [0,1]: {self.nu}")
+        if not 0.0 < epsilon < math.inf:
+            errors.append(f"epsilon must be finite and > 0, got {epsilon}")
+        if not 0.0 <= nu <= 1.0:
+            errors.append(f"nu out of range [0,1]: {nu}")
         if errors:
             raise DomainError("; ".join(errors))
+        object.__setattr__(self, "epsilon", epsilon)
+        object.__setattr__(self, "nu", nu)
+        object.__setattr__(self, "normalize_excluding", normalize_excluding)
+
+    def replace(self, **changes) -> "Options":
+        """A copy with ``changes`` applied, checked again; an unknown name raises TypeError."""
+        return Options(**{name: getattr(self, name) for name in self._fields} | changes)
 
 
-@dataclass
-class ClassRule:
-    code: str
-    display_name: str
-    terms: dict  # term name -> (IonTarget, MembershipFn)
-    expr: object
+class ClassRule(Value):
+    __slots__ = _fields = ("code", "display_name", "terms", "expr")
+
+    def __init__(self, code: str, display_name: str, terms: dict, expr):
+        self.code = code
+        self.display_name = display_name
+        self.terms = terms  # term name -> (IonTarget, MembershipFn)
+        self.expr = expr
 
 
-@dataclass
-class RuleBase:
-    name: str
-    ions: dict  # symbol -> mz
-    classes: list
-    options: Options = field(default_factory=Options)
+class RuleBase(Value):
+    __slots__ = _fields = ("name", "ions", "classes", "options")
+
+    def __init__(self, name: str, ions: dict, classes: list, options: Options = Options()):
+        self.name = name
+        self.ions = ions  # symbol -> mz
+        self.classes = classes
+        self.options = options  # immutable, so one default instance is shared safely
 
     def excluded_ions(self):
         return [IonTarget(sym, self.ions[sym]) for sym in self.options.normalize_excluding]
@@ -59,10 +68,12 @@ class RuleBase:
         return [c.code for c in self.classes]
 
 
-@dataclass(frozen=True)
-class Diagnostic:
-    severity: str  # "error" | "warning"
-    message: str
+class Diagnostic(Frozen):
+    __slots__ = _fields = ("severity", "message")
+
+    def __init__(self, severity: str, message: str):
+        object.__setattr__(self, "severity", severity)  # "error" | "warning"
+        object.__setattr__(self, "message", message)
 
 
 # ---------------------------------------------------------------------------
@@ -78,12 +89,14 @@ _TOKEN_RE = re.compile(
 )
 
 
-@dataclass(frozen=True)
 class _Token:
-    kind: str  # STRING | NUMBER | IDENT | PUNCT
-    value: str
-    line: int
-    col: int
+    __slots__ = ("kind", "value", "line", "col")
+
+    def __init__(self, kind: str, value: str, line: int, col: int):
+        self.kind = kind  # STRING | NUMBER | IDENT | PUNCT
+        self.value = value
+        self.line = line
+        self.col = col
 
 
 def _tokenize(source):
@@ -178,7 +191,7 @@ class _Parser:
             value = tuple(symbols)
         else:
             raise ParseError(f"unknown option {name!r}", name_tok.line, name_tok.col)
-        rb.options = _checked(name_tok, replace, rb.options, **{name: value})
+        rb.options = _checked(name_tok, rb.options.replace, **{name: value})
 
     def ion(self, rb):
         sym_tok = self.expect(kind="IDENT")

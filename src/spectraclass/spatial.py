@@ -5,7 +5,6 @@ from __future__ import annotations
 import csv
 import math
 import re
-from dataclasses import dataclass
 from functools import partial
 from itertools import compress, islice, repeat
 from operator import add, truediv
@@ -14,6 +13,7 @@ from typing import Optional
 from .classify import FMT_SPEC, UNK, harden_spots
 from .errors import BadIndex, DuplicateName, ParseError
 from .spectrum import _NOT_SKELETON
+from .value import Value
 
 RECTANGULAR = "rectangular"
 HEXAGONAL = "hexagonal"
@@ -26,33 +26,35 @@ _HEX_ODD = ((-1, 0), (-1, 1), (0, -1), (0, 1), (1, 0), (1, 1))
 _MOORE = ((-1, -1), (-1, 0), (-1, 1), (0, -1), (0, 1), (1, -1), (1, 0), (1, 1))
 
 
-@dataclass(slots=True)
-class Spot:
-    membership: dict  # class code -> [0,1]
-    id: str = ""
-    x: float = 0.0
-    y: float = 0.0
+class Spot(Value):
+    __slots__ = _fields = ("membership", "id", "x", "y")
+
+    def __init__(self, membership: dict, id: str = "", x: float = 0.0, y: float = 0.0):
+        self.membership = membership  # class code -> [0,1]
+        self.id = id
+        self.x = x
+        self.y = y
 
 
-@dataclass
-class SampleGrid:
+class SampleGrid(Value):
     """Spots in row-major order, each with a membership in [0,1] for every class code; checked when built."""
 
-    topology: str
-    rows: int
-    cols: int
-    spots: list
-    class_codes: list
+    __slots__ = _fields = ("topology", "rows", "cols", "spots", "class_codes")
 
-    def __post_init__(self):
-        _check_shape(self.topology, self.rows, self.cols, len(self.spots))
-        for i, spot in enumerate(self.spots):
-            for code in self.class_codes:
+    def __init__(self, topology: str, rows: int, cols: int, spots: list, class_codes: list):
+        _check_shape(topology, rows, cols, len(spots))
+        for i, spot in enumerate(spots):
+            for code in class_codes:
                 if code not in spot.membership:
                     raise ValueError(f"spot {i} has no membership for class {code!r}")
                 if not 0.0 <= spot.membership[code] <= 1.0:  # also false for nan
                     raise ValueError(f"spot {i}: membership of class {code!r} "
                                      f"is {spot.membership[code]}, outside [0,1]")
+        self.topology = topology
+        self.rows = rows
+        self.cols = cols
+        self.spots = spots
+        self.class_codes = class_codes
 
 
 def _check_shape(topology: str, rows: int, cols: int, n_spots: int) -> None:
@@ -88,16 +90,20 @@ def neighbors(grid: SampleGrid, i: int):
     return out
 
 
-@dataclass(slots=True)
-class MapCell:
-    label: str
-    confidence: float
-    neighbor_assigned: bool = False
+class MapCell(Value):
+    __slots__ = _fields = ("label", "confidence", "neighbor_assigned")
+
+    def __init__(self, label: str, confidence: float, neighbor_assigned: bool = False):
+        self.label = label
+        self.confidence = confidence
+        self.neighbor_assigned = neighbor_assigned
 
 
-@dataclass
-class ClassificationMap:
-    cells: list  # one MapCell per spot, in the grid's row-major order
+class ClassificationMap(Value):
+    __slots__ = _fields = ("cells",)
+
+    def __init__(self, cells: list):
+        self.cells = cells  # one MapCell per spot, in the grid's row-major order
 
 
 def _grid_rows(grid: SampleGrid):

@@ -4,13 +4,13 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import islice
 from operator import itemgetter, lt
 from typing import Iterable, Optional
 
 from .errors import CannotNormalize, DomainError, EmptySpectrum, ParseError
+from .value import Frozen
 
 FULL_SCALE = 100.0
 
@@ -19,34 +19,34 @@ FULL_SCALE = 100.0
 _NOT_SKELETON = bytes(b for b in range(128) if chr(b) not in ",\n\r\x0b\x0c\x1c\x1d\x1e")
 
 
-@dataclass(frozen=True)
-class IonTarget:
+class IonTarget(Frozen):
     """A target ion: chemical symbol plus its finite, positive m/z."""
 
-    symbol: str
-    mz: float
+    __slots__ = _fields = ("symbol", "mz")
 
-    def __post_init__(self):
-        if not self.symbol:
+    def __init__(self, symbol: str, mz: float):
+        if not symbol:
             raise ValueError("ion symbol must be non-empty")
-        if not 0.0 < self.mz < math.inf:  # also false for nan
-            raise DomainError(f"ion {self.symbol!r} needs a finite m/z > 0, got {self.mz}")
+        if not 0.0 < mz < math.inf:  # also false for nan
+            raise DomainError(f"ion {symbol!r} needs a finite m/z > 0, got {mz}")
+        object.__setattr__(self, "symbol", symbol)
+        object.__setattr__(self, "mz", mz)
 
 
-@dataclass(frozen=True)
-class Spectrum:
+class Spectrum(Frozen):
     """One acquisition spot: relative abundance versus m/z.
 
     Points are finite and strictly sorted ascending by m/z with no
     duplicates; abundances are non-negative. Instances are immutable, so
-    they are safe to share across parallel classification workers.
+    they are safe to share across parallel classification workers. The
+    fields live in the instance ``__dict__``, beside the cached ``mzs``
+    and ``max_abundance``.
     """
 
-    points: tuple
-    id: str = ""
+    _fields = ("points", "id")
 
-    def __post_init__(self):
-        pts = tuple((float(mz), float(ab)) for mz, ab in self.points)
+    def __init__(self, points: tuple, id: str = ""):
+        pts = tuple((float(mz), float(ab)) for mz, ab in points)
         if not pts:
             raise EmptySpectrum("spectrum has no points")
         for i, (mz, ab) in enumerate(pts):
@@ -58,7 +58,7 @@ class Spectrum:
                 raise DomainError(f"non-finite point ({mz}, {ab})")
             if i > 0 and mz <= pts[i - 1][0]:
                 raise DomainError("points must be strictly sorted by m/z")
-        object.__setattr__(self, "points", pts)
+        self.__dict__.update(points=pts, id=id)
 
     @classmethod
     def _trusted(cls, points: tuple, id: str = "") -> "Spectrum":

@@ -10,11 +10,11 @@ from __future__ import annotations
 import math
 from array import array
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 
 from .classify import fmt
 from .errors import EmptyEnsemble, IncompatibleDBs
 from .spectrum import Spectrum
+from .value import Value
 
 # Report presentation defaults, not derived quantities: the ratio flag
 # thresholds and the histogram's bar width (characters) and ratio cap.
@@ -24,14 +24,16 @@ HISTOGRAM_WIDTH = 40
 HISTOGRAM_CAP = 5.0
 
 
-@dataclass
-class StatBin:
-    phi: float     # bin center: mean m/z of member peaks
-    c: int         # count of member peaks (zero ones too; a spectrum may give several)
-    a_tot: float   # sum of abundances
-    a_tot2: float  # sum of squared abundances
-    a_max: float
-    a_min: float
+class StatBin(Value):
+    __slots__ = _fields = ("phi", "c", "a_tot", "a_tot2", "a_max", "a_min")
+
+    def __init__(self, phi: float, c: int, a_tot: float, a_tot2: float, a_max: float, a_min: float):
+        self.phi = phi        # bin center: mean m/z of member peaks
+        self.c = c            # count of member peaks (zero ones too; a spectrum may give several)
+        self.a_tot = a_tot    # sum of abundances
+        self.a_tot2 = a_tot2  # sum of squared abundances
+        self.a_max = a_max
+        self.a_min = a_min
 
     def mean(self) -> float:
         return self.a_tot / self.c
@@ -40,11 +42,13 @@ class StatBin:
         return self.a_tot2 / self.c - (self.a_tot / self.c) ** 2
 
 
-@dataclass
-class StatDB:
-    bins: list
-    n_spectra: int
-    eps: float
+class StatDB(Value):
+    __slots__ = _fields = ("bins", "n_spectra", "eps")
+
+    def __init__(self, bins: list, n_spectra: int, eps: float):
+        self.bins = bins
+        self.n_spectra = n_spectra
+        self.eps = eps
 
 
 def peak_list(s: Spectrum, eps: float, factor: float = 1.0):
@@ -178,15 +182,18 @@ def full_presence_bins(db: StatDB):
     return [b for b in db.bins if b.c == db.n_spectra]
 
 
-@dataclass
-class ReportRow:
-    phi: float
-    class_mean: float
-    ensemble_mean: float
-    ratio: float
-    count: int
-    n_spectra: int
-    flag: str  # key-candidate | low-candidate | unique | partial-presence | -
+class ReportRow(Value):
+    __slots__ = _fields = ("phi", "class_mean", "ensemble_mean", "ratio", "count", "n_spectra", "flag")
+
+    def __init__(self, phi: float, class_mean: float, ensemble_mean: float, ratio: float,
+                 count: int, n_spectra: int, flag: str):
+        self.phi = phi
+        self.class_mean = class_mean
+        self.ensemble_mean = ensemble_mean
+        self.ratio = ratio
+        self.count = count
+        self.n_spectra = n_spectra
+        self.flag = flag  # key-candidate | low-candidate | unique | partial-presence | -
 
 
 def class_vs_ensemble_report(class_db: StatDB, ensemble_db: StatDB,

@@ -3,7 +3,6 @@ import io
 import math
 import random
 import re
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -89,7 +88,7 @@ def rule_base_and_spectrum(draw):
     rb = builtin_basalt()
     rb.ions["K"] = ION_MZ["K"]
     eps = draw(st.sampled_from([0.05, 0.1, 0.2, 0.3, 1.0]))
-    rb.options = replace(rb.options, epsilon=eps, normalize_excluding=tuple(draw(st.lists(
+    rb.options = rb.options.replace(epsilon=eps, normalize_excluding=tuple(draw(st.lists(
         st.sampled_from(["K", "Ca", "Fe", "Ti"]), max_size=2, unique=True))))
     points = {}
     for mz in rb.ions.values():
@@ -222,7 +221,7 @@ class TestCompiledRules:
     def test_negative_epsilon_rejected_when_compiled(self, basalt):
         # Rejected when the options are built, so compile_rules() never sees it.
         with pytest.raises(DomainError, match=r"^epsilon must be finite and > 0, got -0\.1$"):
-            replace(basalt.options, epsilon=-0.1)
+            basalt.options.replace(epsilon=-0.1)
 
     def test_unused_term_is_not_compiled(self, basalt):
         ion, _ = basalt.classes[0].terms["fe"]

@@ -2,9 +2,12 @@ import contextlib
 import csv
 import errno
 import io
+import json
 import os
 import random
 import stat
+import subprocess
+import sys
 import tempfile
 import tracemalloc
 from pathlib import Path
@@ -272,6 +275,42 @@ def assert_written_through(link, real, expected):
     assert list(real.parent.glob("**/.*.part")) == []
 
 
+# Run in a fresh interpreter: main(warm) untraced, then main(argv) under
+# tracemalloc; prints both exit codes and the traced peak as JSON.
+PEAK_CHILD = """
+import json, os, sys, tracemalloc
+from spectraclass.cli import main
+warm, argv = json.load(sys.stdin)
+with open(os.devnull, "w") as sys.stdout:
+    codes = [main(warm)]
+    tracemalloc.start()
+    codes.append(main(argv))
+    peak = tracemalloc.get_traced_memory()[1]
+sys.__stdout__.write(json.dumps([codes, peak]))
+"""
+
+
+def cli_peaks(warm, runs):
+    """The tracemalloc peak of ``main(argv)`` for each argv in ``runs``, each in a fresh interpreter.
+
+    Each child first runs ``main(warm)`` untraced, so that imports and
+    lazy set-up are done, and no earlier test's leftovers in this process
+    can move a peak. Every run must exit 0.
+    """
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {k: v for k, v in os.environ.items() if k != cli.RULES_ENV}
+    env["PYTHONPATH"] = src
+    peaks = []
+    for argv in runs:
+        child = subprocess.run([sys.executable, "-c", PEAK_CHILD], input=json.dumps([warm, argv]),
+                               capture_output=True, text=True, env=env, timeout=300)
+        assert child.returncode == 0, child.stderr
+        codes, peak = json.loads(child.stdout)
+        assert codes == [EX_OK, EX_OK], (argv[:2], child.stderr)
+        peaks.append(peak)
+    return peaks
+
+
 def classify_peaks(tmp_path, *options):
     """The tracemalloc peaks of `classify --out` over 250 and 1,000 spectra, with ``options``.
 
@@ -287,17 +326,8 @@ def classify_peaks(tmp_path, *options):
         Path(paths[-1]).write_text("".join(
             f"{10 + 5 * k + rng.uniform(-1, 1)!r},{rng.uniform(1, 100)!r}\n" for k in range(30)))
     out = str(tmp_path / "batch.csv")
-    assert main(["classify", *paths[:10], *options, "--out", out]) == EX_OK
-    peaks = []
-    for n in (250, 1000):
-        argv = ["classify", *paths[:n], *options, "--out", out]
-        tracemalloc.start()
-        try:
-            assert main(argv) == EX_OK
-            peaks.append(tracemalloc.get_traced_memory()[1])
-        finally:
-            tracemalloc.stop()
-    return peaks
+    return cli_peaks(["classify", *paths[:10], *options, "--out", out],
+                     [["classify", *paths[:n], *options, "--out", out] for n in (250, 1000)])
 
 
 def runs_error(path):
@@ -819,31 +849,17 @@ class TestMapStreaming:
         for rows in (100, 1000):
             grids.append(tmp_path / f"{rows}.csv")
             grids[-1].write_text(map_grid_text(rows, 40))
-        assert main(["map", str(grids[0]), "--out", str(tmp_path / "warm")]) == EX_OK
-        peaks = []
-        for grid in grids:
-            tracemalloc.start()
-            try:
-                assert main(["map", str(grid), "--out", str(tmp_path / grid.stem)]) == EX_OK
-                peaks.append(tracemalloc.get_traced_memory()[1])
-            finally:
-                tracemalloc.stop()
+        peaks = cli_peaks(["map", str(grids[0]), "--out", str(tmp_path / "warm")],
+                          [["map", str(grid), "--out", str(tmp_path / grid.stem)] for grid in grids])
         assert peaks[1] <= 1.5 * peaks[0], peaks
 
     def test_peak_does_not_grow_with_the_grid_text(self, tmp_path):
         texts = [map_grid_text(rows, 40) for rows in (100, 400)]
-        peaks = []
         for k, text in enumerate(texts):
-            grid = tmp_path / f"{k}.csv"
-            grid.write_text(text)
-            if not k:
-                assert main(["map", str(grid), "--out", str(tmp_path / "warm")]) == EX_OK
-            tracemalloc.start()
-            try:
-                assert main(["map", str(grid), "--out", str(tmp_path / str(k))]) == EX_OK
-                peaks.append(tracemalloc.get_traced_memory()[1])
-            finally:
-                tracemalloc.stop()
+            (tmp_path / f"{k}.csv").write_text(text)
+        peaks = cli_peaks(["map", str(tmp_path / "0.csv"), "--out", str(tmp_path / "warm")],
+                          [["map", str(tmp_path / f"{k}.csv"), "--out", str(tmp_path / str(k))]
+                           for k in range(len(texts))])
         assert peaks[1] - peaks[0] < len(texts[1]), peaks
 
     def test_missing_grid_keeps_the_os_message(self, tmp_path, monkeypatch, capsys):
@@ -992,6 +1008,33 @@ class TestUsage:
         monkeypatch.setenv("SPECTRACLASS_RULES", str(rules))
         out = tmp_path / "out.csv"
         assert main(["classify", str(spectra_dir / "agt.csv"), "--out", str(out)]) == EX_OK
+
+    def test_empty_env_var_counts_as_unset(self, spectra_dir, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("SPECTRACLASS_RULES", "")
+        assert main(["validate-rules"]) == EX_OK
+        assert capsys.readouterr().out.endswith("rule base 'basalt': 4 classes, 6 ions, 0 warnings\n")
+
+    @pytest.mark.parametrize("argv,option", [
+        (["classify", "{d}/agt.csv", "--out", ""], "--out"),
+        (["stats", "{d}/agt.csv", "--out", ""], "--out"),
+        (["map", "{d}/grid.csv", "--out", ""], "--out"),
+        (["classify", "{d}/agt.csv", "--rules", ""], "--rules"),
+        (["stats", "{d}/agt.csv", "--rules", ""], "--rules"),
+        (["validate-rules", "--rules", ""], "--rules"),
+        (["map", "{d}/grid.csv", "--palette", "", "--out", "m"], "--palette"),
+        (["map", "", "--out", "m"], "input"),
+    ])
+    def test_empty_path_exits_64(self, spectra_dir, tmp_path, monkeypatch, capsys, argv, option):
+        # An empty path would name the working directory, or stdout for classify's --out.
+        grid_file(spectra_dir)
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main([arg.format(d=spectra_dir) for arg in argv])
+        assert exc.value.code == EX_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.endswith(f"error: argument {option}: an empty path names no file\n")
+        assert [p.name for p in tmp_path.iterdir()] == ["spectra"]
 
 
 # Fuzzed argv: "{d}" stands for a fresh directory holding the files below.

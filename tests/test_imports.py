@@ -1,5 +1,5 @@
 """Every import and top-level definition in the package's modules is used, the runtime is pure
-stdlib, and the CLI imports no thread pool."""
+stdlib, and the CLI imports neither a thread pool nor dataclasses."""
 
 import ast
 import os
@@ -106,13 +106,16 @@ def test_imports_only_the_standard_library(path):
     assert [name for name in names if name not in sys.stdlib_module_names] == []
 
 
-def test_cli_import_leaves_the_thread_pool_unloaded():
-    # -S skips site, which in some installs imports threading itself.
+def test_cli_import_leaves_the_thread_pool_and_dataclasses_unloaded():
+    # -S skips site, which in some installs imports threading or inspect itself.
+    # dataclasses loads inspect, which loads ast, dis and tokenize; with the code it
+    # generates per class, that costs more start-up than all of the package's own modules.
     code = "import sys, spectraclass.cli; print(*sorted(sys.modules))"
     src = str(Path(spectraclass.__file__).resolve().parents[1])
     loaded = subprocess.run([sys.executable, "-S", "-c", code], env={**os.environ, "PYTHONPATH": src},
                             capture_output=True, text=True, check=True).stdout.split()
-    assert {"concurrent.futures", "logging", "threading"}.isdisjoint(loaded)
+    unwanted = {"concurrent.futures", "logging", "threading", "dataclasses", "inspect", "ast", "dis", "tokenize"}
+    assert sorted(unwanted.intersection(loaded)) == []
 
 
 FILE_METHODS = {"open", "read_text", "write_text", "read_bytes", "write_bytes"}
