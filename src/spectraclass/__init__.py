@@ -23,20 +23,18 @@ from .rulebase import (
     serialize_rulebase,
     validate,
 )
-from .spatial import SampleGrid, neighbors, read_grid_csv, reclassify_map
+from .spatial import map_rows, read_grid_csv, read_grid_rows, reclassify_map
 from .spectrum import (
     IonTarget,
     Spectrum,
     normalize,
     parse_spectrum,
-    serialize_spectrum,
 )
 from .stats import (
     StatBin,
     StatDB,
     build_statdb,
     class_vs_ensemble_report,
-    full_presence_bins,
     peak_list,
 )
 

@@ -120,8 +120,14 @@ def harden_list(mu, nu: float) -> tuple:
 
 
 def harden_spots(spots, nu: float) -> tuple:
-    """harden_list() of each membership sequence in ``spots``, one at least: ``(labels, confidences)``."""
-    return tuple(map(list, zip(*map(harden_list, spots, repeat(nu)))))
+    """harden_list() of each membership sequence in ``spots``: ``(labels, confidences)``.
+
+    The two columns are built as lists directly: transposing with zip(*)
+    makes tuples as long as ``spots``, and a short freed tuple stays on
+    the interpreter's free list, so a map's traced heap grew with its rows.
+    """
+    pairs = list(map(harden_list, spots, repeat(nu)))
+    return [k for k, _ in pairs], [conf for _, conf in pairs]
 
 
 def harden(mv: MembershipVector, nu: float) -> Classification:
@@ -168,9 +174,11 @@ def classify_iter(sources, rb: RuleBase, workers: int = 1):
     raise from this call and not from the first result; per-item failures
     become error records instead of aborting the batch. With one worker,
     each input is read and classified only when its result is asked for.
+    No more threads than ``os.cpu_count()`` are started.
     """
     if workers < 1:
         raise ValueError("workers must be >= 1")
+    workers = min(workers, os.cpu_count() or 1)
     classify_spectrum = compile_rules(rb)
     nu = rb.options.nu
 

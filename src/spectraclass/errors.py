@@ -47,10 +47,6 @@ class NoClasses(SpectraClassError):
     pass
 
 
-class BadIndex(SpectraClassError):
-    pass
-
-
 class EmptyEnsemble(SpectraClassError):
     pass
 

@@ -123,10 +123,14 @@ def _tokenize(source):
     return tokens
 
 
+_MAX_NESTING = 64  # "(" and "not" nested in one expression; every walk of the tree recurses once per level
+
+
 class _Parser:
     def __init__(self, tokens):
         self.tokens = tokens
         self.pos = 0
+        self.depth = 0  # the "(" and "not" open around the token being read
 
     def peek(self):
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
@@ -275,11 +279,16 @@ class _Parser:
 
     def unary(self):
         tok = self.next()
-        if tok.value == "not":
-            return Not(self.unary())
-        if tok.value == "(":
-            inner = self.expr()
-            self.expect(value=")")
+        if tok.value in ("not", "("):
+            if self.depth == _MAX_NESTING:
+                raise ParseError(f"expression nested more than {_MAX_NESTING} deep", tok.line, tok.col)
+            self.depth += 1
+            if tok.value == "not":
+                inner = Not(self.unary())
+            else:
+                inner = self.expr()
+                self.expect(value=")")
+            self.depth -= 1
             return inner
         if tok.kind == "IDENT":
             return Term(tok.value)

@@ -11,7 +11,7 @@ from operator import add, truediv
 from typing import Optional
 
 from .classify import FMT_SPEC, UNK, harden_spots
-from .errors import BadIndex, DuplicateName, ParseError
+from .errors import DuplicateName, ParseError
 from .spectrum import _NOT_SKELETON
 from .value import Value
 
@@ -26,37 +26,6 @@ _HEX_ODD = ((-1, 0), (-1, 1), (0, -1), (0, 1), (1, 0), (1, 1))
 _MOORE = ((-1, -1), (-1, 0), (-1, 1), (0, -1), (0, 1), (1, -1), (1, 0), (1, 1))
 
 
-class Spot(Value):
-    __slots__ = _fields = ("membership", "id", "x", "y")
-
-    def __init__(self, membership: dict, id: str = "", x: float = 0.0, y: float = 0.0):
-        self.membership = membership  # class code -> [0,1]
-        self.id = id
-        self.x = x
-        self.y = y
-
-
-class SampleGrid(Value):
-    """Spots in row-major order, each with a membership in [0,1] for every class code; checked when built."""
-
-    __slots__ = _fields = ("topology", "rows", "cols", "spots", "class_codes")
-
-    def __init__(self, topology: str, rows: int, cols: int, spots: list, class_codes: list):
-        _check_shape(topology, rows, cols, len(spots))
-        for i, spot in enumerate(spots):
-            for code in class_codes:
-                if code not in spot.membership:
-                    raise ValueError(f"spot {i} has no membership for class {code!r}")
-                if not 0.0 <= spot.membership[code] <= 1.0:  # also false for nan
-                    raise ValueError(f"spot {i}: membership of class {code!r} "
-                                     f"is {spot.membership[code]}, outside [0,1]")
-        self.topology = topology
-        self.rows = rows
-        self.cols = cols
-        self.spots = spots
-        self.class_codes = class_codes
-
-
 def _check_shape(topology: str, rows: int, cols: int, n_spots: int) -> None:
     """Raise ValueError for an unknown topology, then for a spot count other than rows x cols."""
     if topology not in (RECTANGULAR, HEXAGONAL):
@@ -66,28 +35,10 @@ def _check_shape(topology: str, rows: int, cols: int, n_spots: int) -> None:
 
 
 def _steps(topology: str, row: int):
-    """(row, column) steps from a spot in grid row ``row`` to its neighbors, in neighbors() order."""
+    """(row, column) steps from a spot in grid row ``row`` to its neighbors: row by row, left to right."""
     if topology == RECTANGULAR:
         return _MOORE
     return _HEX_ODD if row % 2 else _HEX_EVEN
-
-
-def neighbors(grid: SampleGrid, i: int):
-    """Adjacent spot indices: 8 (Moore) on rectangular grids, 6 on hexagonal.
-
-    Candidates outside the grid are dropped, so edges and corners see a
-    reduced neighbor count rather than phantom zero spots.
-    """
-    if not 0 <= i < len(grid.spots):
-        raise BadIndex(f"spot index {i} out of range")
-    rows, cols = grid.rows, grid.cols
-    row, col = divmod(i, cols)
-    out = []
-    for dr, dc in _steps(grid.topology, row):
-        r, c = row + dr, col + dc
-        if 0 <= r < rows and 0 <= c < cols:
-            out.append(r * cols + c)
-    return out
 
 
 class MapCell(Value):
@@ -104,15 +55,6 @@ class ClassificationMap(Value):
 
     def __init__(self, cells: list):
         self.cells = cells  # one MapCell per spot, in the grid's row-major order
-
-
-def _grid_rows(grid: SampleGrid):
-    """The spots of ``grid`` as read_grid_rows yields them: ``(ids, xs, ys, mus)`` per grid row."""
-    codes, cols = grid.class_codes, grid.cols
-    for start in range(0, len(grid.spots), cols):
-        spots = grid.spots[start:start + cols]
-        yield ([s.id for s in spots], [s.x for s in spots], [s.y for s in spots],
-               [[s.membership[c] for s in spots] for c in codes])
 
 
 def map_rows(topology: str, rows, nu: float, floor: Optional[float] = None):
@@ -137,7 +79,7 @@ def map_rows(topology: str, rows, nu: float, floor: Optional[float] = None):
     +0.0 at both ends, and a column of 1.0s padded the same way counts
     neighbors; a row outside the grid is all +0.0. Then, for every spot
     below nu at once, each column's neighbor sums are one chain of
-    map(add), from +0.0 in neighbors() order, over the three rows'
+    map(add), from +0.0 in _steps() order, over the three rows'
     padded columns, each compress()-ed by the sub-nu mask shifted by the
     step's column offset. The running sum is never -0.0, so a padded +0.0
     leaves it unchanged: each sum is the one taken left to right over the
@@ -169,7 +111,7 @@ def map_rows(topology: str, rows, nu: float, floor: Optional[float] = None):
         if assigned:
             steps = _steps(topology, r)
             below_nu = [k < 0 for k in labels]
-            # Spot c's neighbor at column step dc is item c + 1 + dc of a padded column.
+            # Item c + 1 + dc of a padded column is spot c's neighbor at column step dc.
             select = [below_nu, [False, *below_nu], [False, False, *below_nu]]
             totals = []
             for columns in zip(*window):  # a class's padded columns in rows r-1, r and r+1, the counts' last
@@ -189,15 +131,12 @@ def map_rows(topology: str, rows, nu: float, floor: Optional[float] = None):
         yield row, (labels, confs), (post_labels, post_confs, assigned)
 
 
-def reclassify_map(grid: SampleGrid, nu: float, floor: Optional[float] = None) -> ClassificationMap:
-    """Hard classification with neighbor smoothing for sub-nu spots: map_rows() over the grid.
-
-    Smoothing reads raw values only, in one pass, so it never cascades.
-    Classes are read in ``class_codes`` order, so ties break by it.
-    """
-    names = [*grid.class_codes, UNK]  # label -1 is UNK
+def reclassify_map(grid: list, nu: float, floor: Optional[float] = None) -> ClassificationMap:
+    """map_rows() over a read_grid_csv() grid, as one MapCell per spot in row-major order."""
+    (topology, _, _, codes), *rows = grid
+    names = [*codes, UNK]  # label -1 is UNK
     cells = []
-    for _, _, (labels, confs, assigned) in map_rows(grid.topology, _grid_rows(grid), nu, floor):
+    for _, _, (labels, confs, assigned) in map_rows(topology, rows, nu, floor):
         row = [MapCell(names[k], conf) for k, conf in zip(labels, confs)]
         for i in assigned:
             row[i].neighbor_assigned = True
@@ -452,17 +391,9 @@ def read_grid_rows(source):
     _check_shape(topology, rows, cols, n)
 
 
-def read_grid_csv(text: str) -> SampleGrid:
-    """Parse a grid file: `# topology/rows/cols` headers plus batch CSV rows.
-
-    Spots are listed in row-major order. Headers and errors are read as
-    read_grid_rows reads them.
-    """
-    rows = read_grid_rows(text)
-    topology, n_rows, cols, class_codes = next(rows)
-    spots = [Spot(dict(zip(class_codes, mu)), id, x, y)
-             for ids, xs, ys, mus in rows for id, x, y, mu in zip(ids, xs, ys, zip(*mus))]
-    return SampleGrid(topology, n_rows, cols, spots, class_codes)
+def read_grid_csv(text: str) -> list:
+    """A whole grid file as one list: read_grid_rows()' shape, then its rows."""
+    return list(read_grid_rows(text))
 
 
 MAP_CSV_HEADER = "x,y,label,confidence,neighbor_assigned\n"

@@ -175,11 +175,6 @@ def _bad_row(mz: float, ab: float, lineno: int) -> DomainError:
     return DomainError(f"non-finite m/z on line {lineno}")
 
 
-def serialize_spectrum(s: Spectrum) -> str:
-    """Render a spectrum back to the csv peak-list format (lossless)."""
-    return "\n".join(f"{mz!r},{ab!r}" for mz, ab in s.points) + "\n"
-
-
 def normalize(s: Spectrum, excluded: Iterable[IonTarget] = (), eps: float = 0.2) -> Spectrum:
     """Rescale so the highest peak outside the excluded ions reads 100.
 

@@ -177,11 +177,6 @@ def group_statdbs(groups: dict, sizes, eps: float):
     return dbs, ensemble
 
 
-def full_presence_bins(db: StatDB):
-    """Bins present in every accumulated spectrum: candidate positive cues."""
-    return [b for b in db.bins if b.c == db.n_spectra]
-
-
 class ReportRow(Value):
     __slots__ = _fields = ("phi", "class_mean", "ensemble_mean", "ratio", "count", "n_spectra", "flag")
 

@@ -38,6 +38,19 @@ def spectrum_csv(abundances, filler=100.0):
     return "".join(f"{mz},{ab}\n" for mz, ab in s.points)
 
 
+def grid_csv(topology, rows, cols, memberships, codes=None):
+    """Grid file text: the three headers, then one line per ``{code: membership}`` dict, in row-major order.
+
+    The columns are ``mu_<code>`` for each of ``codes``, by default the
+    first dict's keys. repr() writes each membership, so it reads back
+    exactly, -0.0 included.
+    """
+    codes = list(memberships[0]) if codes is None else codes
+    lines = [f"# topology: {topology}", f"# rows: {rows}", f"# cols: {cols}", ",".join(f"mu_{c}" for c in codes)]
+    lines += [",".join(repr(m[c]) for c in codes) for m in memberships]
+    return "\n".join(lines) + "\n"
+
+
 def term_memberships(thresholds):
     """``ps -> (highs, lows)``: memberships of abundances p >= 0 in high and low terms, through compile_rules.
 

@@ -7,9 +7,12 @@
 - read_grid_rows_by_line() parses a grid file one line at a time;
   spatial.read_grid_rows() must give the same rows and the same errors;
 - harden_values() hardens a ``{code: membership}`` dict, and
-  smoothed_membership() smooths one spot's membership of one class;
-  render_class_map(), render_membership_map() and write_ppm() draw whole
-  maps; the files `map` writes row by row must equal them byte for byte.
+  smoothed_membership() smooths one spot's membership of one class over
+  the neighbors() of the spot; render_class_map(),
+  render_membership_map() and write_ppm() draw whole maps; the files
+  `map` writes row by row must equal them byte for byte;
+- serialize_spectrum() writes a spectrum as peak-list text that
+  spectrum.parse_spectrum() must read back exactly.
 """
 
 import math
@@ -22,13 +25,14 @@ from spectraclass.fuzzy import And, Not, Or, Term
 from spectraclass.pixmap import BASALT_PALETTE
 from spectraclass.rulebase import UNK
 from spectraclass.spatial import (
+    HEXAGONAL,
+    RECTANGULAR,
     _HEADER_RE,
     _check_shape,
     _grid_shape,
     _layout,
     _lines,
     _quoted_fields,
-    neighbors,
 )
 from spectraclass.spectrum import window_slice
 
@@ -110,6 +114,38 @@ def harden_values(values: dict, nu: float) -> tuple:
     return best_code, best
 
 
+# (row, column) offsets to a spot's neighbors, row by row and left to right.
+MOORE = ((-1, -1), (-1, 0), (-1, 1),
+         (0, -1), (0, 1),
+         (1, -1), (1, 0), (1, 1))
+# Hexagonal grids shift odd rows half a spot to the right, so a spot's
+# neighbors above and below lie on its left in an even row, on its right in an odd one.
+HEX_EVEN_ROW = ((-1, -1), (-1, 0),
+                (0, -1), (0, 1),
+                (1, -1), (1, 0))
+HEX_ODD_ROW = ((-1, 0), (-1, 1),
+               (0, -1), (0, 1),
+               (1, 0), (1, 1))
+
+
+def neighbors(topology: str, rows: int, cols: int, i: int) -> list:
+    """The indices of spot i's neighbors in row-major order, in the order of the offsets.
+
+    Eight (Moore) on a rectangular grid, six on a hexagonal one; those
+    outside the grid are dropped, so edges and corners have fewer.
+    """
+    row, col = divmod(i, cols)
+    offsets = {RECTANGULAR: MOORE, HEXAGONAL: HEX_ODD_ROW if row % 2 else HEX_EVEN_ROW}[topology]
+    return [(row + dr) * cols + col + dc for dr, dc in offsets
+            if 0 <= row + dr < rows and 0 <= col + dc < cols]
+
+
+def grid_spots(grid) -> list:
+    """The spots of a spatial.read_grid_csv() grid in row-major order, each a ``{code: membership}`` dict."""
+    (_, _, _, codes), *rows = grid
+    return [dict(zip(codes, mu)) for *_, mus in rows for mu in zip(*mus)]
+
+
 def smoothed_membership(grid, i: int, gamma: str) -> float:
     """Spot membership plus the average over its neighbors; range [0, 2].
 
@@ -117,11 +153,13 @@ def smoothed_membership(grid, i: int, gamma: str) -> float:
     every Python version. A 1x1 grid has no neighbors and falls back to
     the raw value.
     """
-    ns = neighbors(grid, i)
-    mu = grid.spots[i].membership[gamma]
+    (topology, rows, cols, _), *_ = grid
+    spots = grid_spots(grid)
+    ns = neighbors(topology, rows, cols, i)
+    mu = spots[i][gamma]
     if not ns:
         return mu
-    return mu + reduce(add, (grid.spots[j].membership[gamma] for j in ns), 0.0) / len(ns)
+    return mu + reduce(add, (spots[j][gamma] for j in ns), 0.0) / len(ns)
 
 
 def write_ppm(stream, width: int, height: int, pixels) -> None:
@@ -140,7 +178,12 @@ def render_class_map(cells, palette=None) -> list:
 
 def render_membership_map(grid, gamma: str) -> list:
     """One grey pixel per spot: class ``gamma``'s membership times 255, rounded."""
-    return [(g, g, g) for g in (round(spot.membership[gamma] * 255) for spot in grid.spots)]
+    return [(g, g, g) for g in (round(spot[gamma] * 255) for spot in grid_spots(grid))]
+
+
+def serialize_spectrum(s) -> str:
+    """A Spectrum as csv peak-list text; repr() reads back exactly."""
+    return "\n".join(f"{mz!r},{ab!r}" for mz, ab in s.points) + "\n"
 
 
 def read_grid_rows_by_line(source):

@@ -8,12 +8,12 @@ import time
 
 import pytest
 
-from conftest import make_spectrum, spectrum_csv, term_memberships
+from conftest import grid_csv, make_spectrum, spectrum_csv, term_memberships
 from spectraclass.classify import classify_batch, harden, memberships
 from spectraclass.cli import main
 from spectraclass.fuzzy import And, Not, Or, Term, compile_expr
 from spectraclass.rulebase import builtin_basalt, parse_rulebase, serialize_rulebase
-from spectraclass.spatial import Spot, SampleGrid, map_rows, reclassify_map
+from spectraclass.spatial import map_rows, read_grid_csv, reclassify_map
 from spectraclass.spectrum import Spectrum
 from spectraclass.stats import build_statdb, class_vs_ensemble_report, peak_list
 
@@ -144,9 +144,8 @@ def test_criterion_5_spatial_smoothing():
     spots = []
     for i in range(9):
         agt = 0.3 if i == 4 else 0.9
-        spots.append(Spot({"ILM": 0.0, "AGT": agt, "PLG": 0.0, "OLV": 0.0}))
-    grid = SampleGrid("rectangular", 3, 3, spots, codes)
-    cmap = reclassify_map(grid, 0.5)
+        spots.append({"ILM": 0.0, "AGT": agt, "PLG": 0.0, "OLV": 0.0})
+    cmap = reclassify_map(read_grid_csv(grid_csv("rectangular", 3, 3, spots)), 0.5)
     assert cmap.cells[4].label == "AGT"
     assert cmap.cells[4].neighbor_assigned
     assert cmap.cells[4].confidence == pytest.approx(1.2, abs=1e-12)
@@ -155,7 +154,7 @@ def test_criterion_5_spatial_smoothing():
     for _ in range(1000):
         mus = [[rng.random() for _ in codes] for _ in range(12)]
         topology = rng.choice(("rectangular", "hexagonal"))
-        g = SampleGrid(topology, 3, 4, [Spot(dict(zip(codes, mu))) for mu in mus], codes)
+        g = read_grid_csv(grid_csv(topology, 3, 4, [dict(zip(codes, mu)) for mu in mus]))
         rows = [([""] * 4, [0.0] * 4, [0.0] * 4, [list(col) for col in zip(*mus[r * 4:r * 4 + 4])])
                 for r in range(3)]
         pre = [k for _, (labels, _), _ in map_rows(topology, rows, 0.5) for k in labels]

@@ -1,6 +1,8 @@
+import concurrent.futures
 import csv
 import io
 import math
+import os
 import random
 import re
 from pathlib import Path
@@ -327,6 +329,22 @@ class TestBatch:
         parallel = classify_batch(sources, basalt, workers=8)
         assert [(r.id, r.classification.label, r.membership.values) for r in serial] == \
                [(r.id, r.classification.label, r.membership.values) for r in parallel]
+
+    @pytest.mark.parametrize("cores,workers,pools", [(2, 64, [2]), (4, 3, [3]), (1, 64, []), (None, 64, [])])
+    def test_threads_capped_at_the_core_count(self, basalt, monkeypatch, cores, workers, pools):
+        started = []
+
+        class Recording(concurrent.futures.ThreadPoolExecutor):
+            def __init__(self, max_workers=None, *args, **kwargs):
+                started.append(max_workers)
+                super().__init__(max_workers, *args, **kwargs)
+
+        sources = [(f"s{i}", spectrum_csv({"Al": 5.0 * i, "Fe": 90.0 - i})) for i in range(40)]
+        serial = classify_batch(sources, basalt)
+        monkeypatch.setattr(os, "cpu_count", lambda: cores)
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Recording)
+        assert classify_batch(sources, basalt, workers=workers) == serial
+        assert started == pools
 
     @pytest.mark.parametrize("row", ["55.954,nan", "55.954,inf", "nan,40", "inf,40"])
     def test_non_finite_peak_is_an_error_row(self, basalt, row):

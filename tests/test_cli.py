@@ -976,6 +976,22 @@ class TestValidateCmd:
         rules.write_text(text)
         assert main(["validate-rules", "--rules", str(rules)]) == EX_FATAL
 
+    @pytest.mark.parametrize("opener,closer", [("( ", " )"), ("not ", "")])
+    def test_deep_nesting_is_an_error_not_a_traceback(self, tmp_path, opener, closer):
+        # 340 parentheses, or 1,000 nots, overflowed the stack of an uncapped parser.
+        n = 340 if closer else 1000
+        rules = tmp_path / "deep.rules"
+        rules.write_text('rulebase "deep"\nion Fe = 55.954\nclass X "x" {\n'
+                         "  term fe = high ( Fe , l = 1 , h = 40 )\n"
+                         f"  expr = {opener * n}fe{closer * n}\n}}\n")
+        src = str(Path(cli.__file__).resolve().parents[1])
+        child = subprocess.run([sys.executable, "-m", "spectraclass", "validate-rules", "--rules", str(rules)],
+                               capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, timeout=60)
+        col = len("  expr = ") + 1 + rulebase._MAX_NESTING * len(opener)
+        assert (child.returncode, child.stdout) == (EX_FATAL, "")
+        assert child.stderr == (f"spectraclass: error: {rules}: expression nested more than "
+                                f"{rulebase._MAX_NESTING} deep (line 5, col {col})\n")
+
 
 class TestUsage:
     def test_unknown_flag_exits_64(self, spectra_dir):

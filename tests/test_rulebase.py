@@ -1,6 +1,7 @@
 from importlib import resources
 
 import pytest
+from hypothesis import given, strategies as st
 
 from spectraclass.errors import (
     DomainError,
@@ -11,6 +12,7 @@ from spectraclass.errors import (
 )
 from spectraclass.fuzzy import And, MembershipFn, Not, Or, Term
 from spectraclass.rulebase import (
+    _MAX_NESTING,
     ClassRule,
     Options,
     RuleBase,
@@ -161,6 +163,43 @@ class TestParser:
     def test_empty_rulebase_rejected(self):
         with pytest.raises(ParseError, match="no classes"):
             parse_rulebase('rulebase "empty"\nion Fe = 55.954\n')
+
+
+def nested_expr(openers, connective):
+    """An expression over term fe with ``openers`` ("(" or "not") nested in order, and each opener's column.
+
+    Each "(" closes after one more fe, joined by ``connective``; the line is
+    MINIMAL's expr line, so the first token stands at column 10.
+    """
+    head, cols, col = [], [], len("  expr = ") + 1
+    for op in openers:
+        head.append(op)
+        cols.append(col)
+        col += len(op) + 1
+    tail = [f"{connective} fe )" for op in openers if op == "("]
+    return " ".join([*head, "fe", *tail]), cols
+
+
+@st.composite
+def nestings(draw):
+    """Openers nested a drawn number deep, at times just at or past the cap, and a connective."""
+    depth = draw(st.sampled_from([_MAX_NESTING, _MAX_NESTING + 1, 1000]) | st.integers(0, 2 * _MAX_NESTING))
+    return [draw(st.sampled_from(["(", "not"])) for _ in range(depth)], draw(st.sampled_from(["and", "or"]))
+
+
+class TestNesting:
+    @given(nestings())
+    def test_capped_at_the_opener_past_the_cap(self, nesting):
+        openers, connective = nesting
+        expr, cols = nested_expr(openers, connective)
+        src = MINIMAL.replace("expr = fe", f"expr = {expr}")
+        if len(openers) <= _MAX_NESTING:
+            rb = parse_rulebase(src)
+            assert parse_rulebase(serialize_rulebase(rb)) == rb
+            return
+        with pytest.raises(ParseError, match=rf"^expression nested more than {_MAX_NESTING} deep \(line 6,") as exc:
+            parse_rulebase(src)
+        assert (exc.value.line, exc.value.col) == (6, cols[_MAX_NESTING])
 
 
 class TestBuiltin:

@@ -2,7 +2,6 @@ import contextlib
 import io
 import math
 import random
-import re
 import tempfile
 from pathlib import Path
 from unittest import mock
@@ -10,8 +9,11 @@ from unittest import mock
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from conftest import grid_csv
 from reference import (
+    grid_spots,
     harden_values,
+    neighbors,
     read_grid_rows_by_line,
     render_class_map,
     render_membership_map,
@@ -21,24 +23,15 @@ from reference import (
 from spectraclass import spatial
 from spectraclass.classify import UNK, fmt
 from spectraclass.cli import main
-from spectraclass.errors import BadIndex, DuplicateName, ParseError
-from spectraclass.spatial import (
-    HEXAGONAL,
-    RECTANGULAR,
-    MapCell,
-    SampleGrid,
-    Spot,
-    neighbors,
-    read_grid_csv,
-    reclassify_map,
-)
+from spectraclass.errors import DuplicateName, ParseError
+from spectraclass.spatial import HEXAGONAL, RECTANGULAR, MapCell, read_grid_csv, reclassify_map
 
 CODES = ["ILM", "AGT", "PLG", "OLV"]
 
 
-def grid_from(rows, cols, memberships, topology=RECTANGULAR):
-    spots = [Spot(dict(m)) for m in memberships]
-    return SampleGrid(topology, rows, cols, spots, CODES)
+def grid_from(rows, cols, memberships, topology=RECTANGULAR, codes=CODES):
+    """The grid read from a file of ``memberships``, with a column for each of ``codes``."""
+    return read_grid_csv(grid_csv(topology, rows, cols, memberships, codes))
 
 
 def uniform(value, codes=CODES):
@@ -47,9 +40,9 @@ def uniform(value, codes=CODES):
 
 def pre_labels(grid, nu):
     """The labels of `map`'s pre map: map_rows' pre columns over ``grid``, as class codes."""
-    names = [*grid.class_codes, UNK]
-    rows = spatial.map_rows(grid.topology, spatial._grid_rows(grid), nu)
-    return [names[k] for _, (labels, _), _ in rows for k in labels]
+    (topology, _, _, codes), *rows = grid
+    names = [*codes, UNK]
+    return [names[k] for _, (labels, _), _ in spatial.map_rows(topology, rows, nu) for k in labels]
 
 
 def smoothed_best(grid, i):
@@ -66,29 +59,22 @@ def ring_grid(center_agt=0.3, ring_agt=0.9):
 
 
 class TestNeighbors:
+    """The reference's neighbors(), which the smoothing tests compare map_rows against."""
+
     def test_rect_interior_is_moore(self):
-        g = grid_from(3, 3, [uniform(0.0)] * 9)
-        assert sorted(neighbors(g, 4)) == [0, 1, 2, 3, 5, 6, 7, 8]
+        assert neighbors(RECTANGULAR, 3, 3, 4) == [0, 1, 2, 3, 5, 6, 7, 8]
 
     def test_rect_corner(self):
-        g = grid_from(3, 3, [uniform(0.0)] * 9)
-        assert sorted(neighbors(g, 0)) == [1, 3, 4]
+        assert neighbors(RECTANGULAR, 3, 3, 0) == [1, 3, 4]
 
     def test_hex_interior_has_six(self):
-        g = grid_from(4, 4, [uniform(0.0)] * 16, topology=HEXAGONAL)
-        assert len(neighbors(g, 5)) == 6
-        assert len(neighbors(g, 9)) == 6
+        assert len(neighbors(HEXAGONAL, 4, 4, 5)) == 6
+        assert len(neighbors(HEXAGONAL, 4, 4, 9)) == 6
 
     def test_hex_offset_rows_differ(self):
-        g = grid_from(4, 4, [uniform(0.0)] * 16, topology=HEXAGONAL)
         # row 1 (odd) shifts right, row 2 (even) shifts left
-        assert sorted(neighbors(g, 5)) == [1, 2, 4, 6, 9, 10]
-        assert sorted(neighbors(g, 9)) == [4, 5, 8, 10, 12, 13]
-
-    def test_bad_index(self):
-        g = grid_from(2, 2, [uniform(0.0)] * 4)
-        with pytest.raises(BadIndex):
-            neighbors(g, 4)
+        assert neighbors(HEXAGONAL, 4, 4, 5) == [1, 2, 4, 6, 9, 10]
+        assert neighbors(HEXAGONAL, 4, 4, 9) == [4, 5, 8, 10, 12, 13]
 
 
 class TestSmoothing:
@@ -109,8 +95,7 @@ class TestSmoothing:
         assert smoothed_best(g, 0) == pytest.approx(0.9, abs=1e-12)
 
     def test_isolated_spot_falls_back(self):
-        g = SampleGrid(RECTANGULAR, 1, 1, [Spot(uniform(0.4))], CODES)
-        assert smoothed_best(g, 0) == 0.4
+        assert smoothed_best(grid_from(1, 1, [uniform(0.4)]), 0) == 0.4
 
 
 class TestReclassify:
@@ -148,7 +133,7 @@ class TestReclassify:
         assert all(c.neighbor_assigned for c in cmap.cells)
 
     def test_ties_break_in_class_code_order(self):
-        # dict order is the reverse of CODES; CODES order must win
+        # dict order is the reverse of CODES; the columns, and so the class codes, follow CODES
         confident = [{"OLV": 0.0, "PLG": 0.0, "AGT": 0.8, "ILM": 0.8}] * 4
         assert pre_labels(grid_from(2, 2, confident), 0.5) == ["ILM"] * 4
         weak = [{"OLV": 0.0, "PLG": 0.0, "AGT": 0.2, "ILM": 0.2}] * 4
@@ -176,6 +161,14 @@ class TestReclassify:
             twice = reclassify_map(g, 0.5)
             assert [c.label for c in once.cells] == [c.label for c in twice.cells]
 
+    def test_ties_break_in_column_order(self):
+        # ILM and AGT tie; the class whose column comes first wins, before and after smoothing.
+        weak = {"OLV": 0.0, "PLG": 0.1, "AGT": 0.2, "ILM": 0.2}
+        for codes, winner in ((CODES, "ILM"), (list(weak), "AGT")):
+            g = grid_from(2, 2, [weak] * 4, codes=codes)
+            assert pre_labels(g, 0.2) == [winner] * 4
+            assert [c.label for c in reclassify_map(g, 0.5).cells] == [winner] * 4
+
     def test_hex_differs_from_rect(self):
         rng = random.Random(31)
         ms = [{c: rng.random() * 0.45 for c in CODES} for _ in range(16)]
@@ -198,12 +191,11 @@ d,1,1,ILM,0.6,0.6,0.4
 
 class TestGridIO:
     def test_read(self):
-        g = read_grid_csv(GRID_CSV)
-        assert g.topology == RECTANGULAR
-        assert (g.rows, g.cols) == (2, 2)
-        assert g.class_codes == ["ILM", "AGT"]
-        assert g.spots[1].membership == {"ILM": 0.2, "AGT": 0.8}
-        assert g.spots[2].id == "c"
+        assert read_grid_csv(GRID_CSV) == [
+            (RECTANGULAR, 2, 2, ["ILM", "AGT"]),
+            (["a", "b"], [0.0, 1.0], [0.0, 0.0], [[0.9, 0.2], [0.1, 0.8]]),
+            (["c", "d"], [0.0, 1.0], [1.0, 1.0], [[0.3, 0.6], [0.2, 0.4]]),
+        ]
 
     def test_missing_topology_header(self):
         with pytest.raises(ParseError):
@@ -215,9 +207,9 @@ class TestGridIO:
 
     def test_headers_after_data_rows_honored(self):
         head, body = GRID_CSV.split("id,", 1)
-        g = read_grid_csv("id," + body + head)
-        assert (g.topology, g.rows, g.cols) == (RECTANGULAR, 2, 2)
-        assert [s.id for s in g.spots] == ["a", "b", "c", "d"]
+        shape, *rows = read_grid_csv("id," + body + head)
+        assert shape == (RECTANGULAR, 2, 2, ["ILM", "AGT"])
+        assert [ids for ids, *_ in rows] == [["a", "b"], ["c", "d"]]
 
     def test_malformed_row_reported_after_late_missing_header(self):
         text = GRID_CSV.replace("# cols: 2\n", "").replace("b,1,0,", "b,1,0,x,")
@@ -246,9 +238,9 @@ class TestGridIO:
 
     def test_quoted_ids_read_as_csv_reader_reads_them(self):
         text = GRID_CSV.replace("a,0,0,", '"a,ILM",0,0,').replace("b,1,0,", '"b""q",1,0,')
-        g = read_grid_csv(text)
-        assert [s.id for s in g.spots] == ["a,ILM", 'b"q', "c", "d"]
-        assert g.spots[1].membership == {"ILM": 0.2, "AGT": 0.8}
+        grid = read_grid_csv(text)
+        assert [ids for ids, *_ in grid[1:]] == [["a,ILM", 'b"q'], ["c", "d"]]
+        assert grid_spots(grid)[1] == {"ILM": 0.2, "AGT": 0.8}
 
     def test_quoted_field_left_open_rejected(self):
         text = GRID_CSV.replace("c,0,1,", '"c,0,1,')
@@ -268,38 +260,15 @@ class TestGridIO:
             read_grid_csv(text)
 
 
-class TestApiGrid:
-    def test_ties_break_in_class_code_order_whatever_the_dict_order(self):
-        # Each dict lists the classes in reverse; ILM and AGT tie.
-        weak = {"OLV": 0.0, "PLG": 0.1, "AGT": 0.2, "ILM": 0.2}
-        g = grid_from(2, 2, [weak] * 4)
-        assert g.spots[0].membership == weak
-        assert pre_labels(g, 0.2) == ["ILM"] * 4
-        assert [c.label for c in reclassify_map(g, 0.5).cells] == ["ILM"] * 4
-
-    @pytest.mark.parametrize("spots,message", [
-        ([Spot({"A": math.nan, "B": math.nan}), Spot({"A": 1.7, "B": -3.0})],
-         "spot 0: membership of class 'A' is nan, outside [0,1]"),
-        ([Spot({"A": 0.5, "B": 0.5}), Spot({"A": 1.7, "B": -3.0})],
-         "spot 1: membership of class 'A' is 1.7, outside [0,1]"),
-        ([Spot({"A": 0.5, "B": 0.5}), Spot({"A": 0.5, "B": -3.0})],
-         "spot 1: membership of class 'B' is -3.0, outside [0,1]"),
-        ([Spot({"A": 0.5, "B": 0.5}), Spot({"A": 0.5})], "spot 1 has no membership for class 'B'"),
-    ], ids=["nan", "above-1", "below-0", "missing"])
-    def test_membership_missing_or_outside_unit_interval_rejected(self, spots, message):
-        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-            SampleGrid(RECTANGULAR, 1, 2, spots, ["A", "B"])
-
-
 def reference_map(grid, nu, floor):
     """reclassify_map spelled out from smoothed_membership and harden_values."""
     cells = []
-    for i, spot in enumerate(grid.spots):
-        label, confidence = harden_values(spot.membership, nu)
+    for i, spot in enumerate(grid_spots(grid)):
+        label, confidence = harden_values(spot, nu)
         if label != UNK:
             cells.append(MapCell(label, confidence))
             continue
-        smoothed = {c: smoothed_membership(grid, i, c) for c in grid.class_codes}
+        smoothed = {c: smoothed_membership(grid, i, c) for c in spot}
         code, sbest = harden_values(smoothed, -math.inf if floor is None else floor)
         cells.append(MapCell(code, confidence if code == UNK else sbest, True))
     return cells
@@ -316,8 +285,8 @@ def grids(draw):
         st.integers(1, 7), st.integers(1, 7)))
     topology = draw(st.sampled_from([RECTANGULAR, HEXAGONAL]))
     codes = CODES[:draw(st.integers(1, len(CODES)))]
-    spots = [Spot({c: draw(membership_values) for c in codes}) for _ in range(rows * cols)]
-    return SampleGrid(topology, rows, cols, spots, codes)
+    spots = [{c: draw(membership_values) for c in codes} for _ in range(rows * cols)]
+    return grid_from(rows, cols, spots, topology, codes)
 
 
 class TestReclassifyReference:
@@ -344,8 +313,8 @@ def grids_without_interior(draw):
     rows, cols = draw(st.sampled_from([(1, n), (n, 1), (2, 2)]))
     topology = draw(st.sampled_from([RECTANGULAR, HEXAGONAL]))
     codes = CODES[:draw(st.integers(1, len(CODES)))]
-    spots = [Spot({c: draw(membership_values) for c in codes}) for _ in range(rows * cols)]
-    return SampleGrid(topology, rows, cols, spots, codes)
+    spots = [{c: draw(membership_values) for c in codes} for _ in range(rows * cols)]
+    return grid_from(rows, cols, spots, topology, codes)
 
 
 class TestSmoothingEdges:
@@ -406,16 +375,13 @@ rgb = st.tuples(*[st.integers(0, 255)] * 3)
 
 @st.composite
 def map_runs(draw):
-    """A grid file's text, the SampleGrid it holds, and `map` options."""
+    """A grid file's text, with ids, positions and its headers anywhere, and `map` options."""
     grid = draw(grids())
-    xy = [(draw(positions), draw(positions)) for _ in grid.spots]
-    for spot, (x, y) in zip(grid.spots, xy):
-        spot.x, spot.y = float(x or 0), float(y or 0)
-    lines = ["id,x,y,label,confidence," + ",".join(f"mu_{c}" for c in grid.class_codes)]
-    lines += [f"{draw(ids)},{x},{y},X,0," + ",".join(repr(v) for v in spot.membership.values())
-              for spot, (x, y) in zip(grid.spots, xy)]
-    headers = {"topology": draw(st.sampled_from(SPELLINGS[grid.topology])),
-               "rows": grid.rows, "cols": grid.cols}
+    topology, rows, cols, codes = grid[0]
+    lines = ["id,x,y,label,confidence," + ",".join(f"mu_{c}" for c in codes)]
+    lines += [f"{draw(ids)},{draw(positions)},{draw(positions)},X,0," + ",".join(map(repr, spot.values()))
+              for spot in grid_spots(grid)]
+    headers = {"topology": draw(st.sampled_from(SPELLINGS[topology])), "rows": rows, "cols": cols}
     # Each header goes before, between or after the data lines.
     for key, value in headers.items():
         lines.insert(draw(st.integers(0, len(lines))), f"# {key}: {value}")
@@ -424,27 +390,30 @@ def map_runs(draw):
                "floor": draw(st.none() | st.floats(0.0, 2.0)),
                "topology": draw(st.sampled_from([None, "rect", "hex"])),
                "palette": palette}
-    return "\n".join(lines) + "\n", grid, options
+    return "\n".join(lines) + "\n", options
 
 
 def expected_map_files(grid, nu, floor, palette):
     """Every file `map` writes, spelled out over the whole grid."""
+    (_, rows, cols, codes), *grid_rows = grid
+    xys = [xy for _, xs, ys, _ in grid_rows for xy in zip(xs, ys)]
+
     def csv_text(cells):
         return "x,y,label,confidence,neighbor_assigned\n" + "".join(
-            f"{fmt(s.x)},{fmt(s.y)},{c.label},{fmt(c.confidence)},"
-            f"{'true' if c.neighbor_assigned else 'false'}\n" for s, c in zip(grid.spots, cells))
+            f"{fmt(x)},{fmt(y)},{c.label},{fmt(c.confidence)},"
+            f"{'true' if c.neighbor_assigned else 'false'}\n" for (x, y), c in zip(xys, cells))
 
     def ppm(pixels):
         buf = io.BytesIO()
-        write_ppm(buf, grid.cols, grid.rows, pixels)
+        write_ppm(buf, cols, rows, pixels)
         return buf.getvalue()
 
-    pre = [MapCell(*harden_values(s.membership, nu)) for s in grid.spots]
+    pre = [MapCell(*harden_values(s, nu)) for s in grid_spots(grid)]
     post = reference_map(grid, nu, floor)
     files = {"pre.csv": csv_text(pre).encode(), "post.csv": csv_text(post).encode(),
              "pre.ppm": ppm(render_class_map(pre, palette)),
              "post.ppm": ppm(render_class_map(post, palette))}
-    for code in grid.class_codes:
+    for code in codes:
         files[f"mu_{code}.ppm"] = ppm(render_membership_map(grid, code))
     return files, sum(c.neighbor_assigned for c in post)
 
@@ -453,10 +422,7 @@ def map_run(cols, spots, floor=None, topology="rect"):
     """A map_runs item over classes A and B at nu 0.5: ``spots`` gives each spot's x, y, mu_A, mu_B fields."""
     lines = [f"# topology: {topology}", f"# rows: {len(spots) // cols}", f"# cols: {cols}",
              "id,x,y,label,confidence,mu_A,mu_B"] + [f"s,{x},{y},X,0,{a},{b}" for x, y, a, b in spots]
-    grid = SampleGrid({"rect": RECTANGULAR, "hex": HEXAGONAL}[topology], len(spots) // cols, cols,
-                      [Spot({"A": float(a), "B": float(b)}, "s", float(x or 0), float(y or 0))
-                       for x, y, a, b in spots], ["A", "B"])
-    return "\n".join(lines) + "\n", grid, {"nu": 0.5, "floor": floor, "topology": None, "palette": None}
+    return "\n".join(lines) + "\n", {"nu": 0.5, "floor": floor, "topology": None, "palette": None}
 
 
 # Ends tie in pre; the middle spot is below nu and its smoothed values tie at 0.875.
@@ -467,7 +433,6 @@ class TestMapCliReference:
     @settings(max_examples=150, deadline=None)
     @given(map_runs())
     @example(("# topology: rect\n# rows: 1\n# cols: 1\nid,x,y,label,confidence,mu_A\ns,,,X,0,0.25\n",
-              SampleGrid(RECTANGULAR, 1, 1, [Spot({"A": 0.25})], ["A"]),
               {"nu": 0.5, "floor": None, "topology": None, "palette": None}))
     # -0.0 and 0 in one x column and in one y column print as -0 and 0.
     @example(map_run(2, [("-0.0", "0", "0.25", "0.5"), ("0", "-0.0", "0.5", "0.25"),
@@ -479,7 +444,8 @@ class TestMapCliReference:
     @example(map_run(3, [("0", "1", "0.875", "0.75"), ("1", "1", "0.125", "0.25"),
                          ("2", "1", "0.875", "0.75")], topology="hex"))
     def test_cli_equals_whole_grid_reference(self, run):
-        text, grid, options = run
+        text, options = run
+        grid = read_grid_csv(text)
         with tempfile.TemporaryDirectory() as d:
             root = Path(d)
             (root / "grid.csv").write_text(text, encoding="utf-8")
@@ -488,7 +454,7 @@ class TestMapCliReference:
                 argv.append(f"--floor={options['floor']!r}")
             if options["topology"]:
                 argv += ["--topology", options["topology"]]
-                grid.topology = {"rect": RECTANGULAR, "hex": HEXAGONAL}[options["topology"]]
+                grid[0] = ({"rect": RECTANGULAR, "hex": HEXAGONAL}[options["topology"]], *grid[0][1:])
             if options["palette"] is not None:
                 (root / "pal.txt").write_text("".join(f"{c} {r} {g} {b}\n"
                                                       for c, (r, g, b) in options["palette"].items()))

@@ -3,7 +3,7 @@ import math
 import pytest
 from hypothesis import example, given, strategies as st
 
-from reference import peak_abundance
+from reference import peak_abundance, serialize_spectrum
 from spectraclass.errors import (
     CannotNormalize,
     DomainError,
@@ -18,7 +18,6 @@ from spectraclass.spectrum import (
     normalize,
     parse_spectrum,
     scale_factor,
-    serialize_spectrum,
 )
 
 K = IonTarget("K", 38.963)

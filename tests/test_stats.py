@@ -13,7 +13,6 @@ from spectraclass.stats import (
     StatDB,
     build_statdb,
     class_vs_ensemble_report,
-    full_presence_bins,
     group_statdbs,
     merged_peaks,
     peak_list,
@@ -103,25 +102,6 @@ class TestBuildStatDB:
         db = statdb(spectra, 0.1)
         for b in db.bins:
             assert b.variance() >= -1e-9
-
-
-class TestFullPresence:
-    def test_definition(self):
-        s1 = Spectrum(((26.98, 5.0), (55.95, 40.0)))
-        s2 = Spectrum(((26.99, 7.0), (55.95, 30.0)))
-        s3 = Spectrum(((26.98, 6.0),))
-        db = statdb([s1, s2, s3], 0.05)
-        full = full_presence_bins(db)
-        assert [b.c for b in full] == [3]
-        assert full[0].phi == pytest.approx((26.98 + 26.99 + 26.98) / 3)
-
-    def test_subset_property(self):
-        s1 = Spectrum(((26.98, 5.0), (55.95, 40.0)))
-        s2 = Spectrum(((30.0, 7.0),))
-        db = statdb([s1, s2], 0.05)
-        full = full_presence_bins(db)
-        assert all(b in db.bins for b in full)
-        assert all(b.c == db.n_spectra for b in full)
 
 
 class TestReport:

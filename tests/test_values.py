@@ -9,12 +9,11 @@ from spectraclass.classify import BatchResult, Classification, MembershipVector
 from spectraclass.errors import DomainError
 from spectraclass.fuzzy import And, MembershipFn, Not, Or, Term
 from spectraclass.rulebase import ClassRule, Diagnostic, Options, builtin_basalt
-from spectraclass.spatial import ClassificationMap, MapCell, SampleGrid, Spot
+from spectraclass.spatial import ClassificationMap, MapCell
 from spectraclass.spectrum import IonTarget, Spectrum
 from spectraclass.stats import ReportRow, StatBin, StatDB
 
 FE = ("Fe", 55.954)
-SPOTS = ({"A": 0.25, "B": 0.5}, {"A": 1.0, "B": 0.0})
 
 # name -> (a function building an instance, frozen, hashable)
 CASES = {
@@ -33,9 +32,6 @@ CASES = {
                                     Term("fe")), False, False),
     "RuleBase": (builtin_basalt, False, False),
     "Diagnostic": (lambda: Diagnostic("warning", "unused term"), True, True),
-    "Spot": (lambda: Spot(dict(SPOTS[0]), "s", 1.5, 2.0), False, False),
-    "SampleGrid": (lambda: SampleGrid("rectangular", 1, 2, [Spot(dict(m)) for m in SPOTS], ["A", "B"]),
-                   False, False),
     "MapCell": (lambda: MapCell("A", 0.75, True), False, False),
     "ClassificationMap": (lambda: ClassificationMap([MapCell("A", 0.75), MapCell("UNK", 0.5)]), False, False),
     "IonTarget": (lambda: IonTarget(*FE), True, True),
