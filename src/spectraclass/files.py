@@ -24,10 +24,31 @@ def open_text(path):
         raise
 
 
+_O_READ = os.O_RDONLY | getattr(os, "O_BINARY", 0)  # no newline translation under the decoder on Windows
+
+
 def read_text(path) -> str:
-    """The text of the file ``path``, and its errors, as ``Path(path).read_text`` gives them."""
-    with open_text(path) as f:
-        return f.read()
+    """The text of the file ``path``, and its errors, as ``Path(path).read_text`` gives them.
+
+    One raw descriptor and one read sized by ``fstat``, not a text-mode
+    ``open()``'s three file objects: the bytes are decoded as strict UTF-8
+    and newlines translated as text mode does (``\\r\\n`` and ``\\r`` to
+    ``\\n``). Reads go on to end of file, so a file whose size reads 0 (a
+    pipe, a /proc file) or grows is still read whole.
+    """
+    try:
+        fd = os.open(path, _O_READ)
+        try:
+            chunks = [os.read(fd, os.fstat(fd).st_size + 1)]
+            while chunk := os.read(fd, 1 << 16):
+                chunks.append(chunk)
+        finally:
+            os.close(fd)
+    except OSError:  # Path names the file as it normalises it: ./a.csv as a.csv
+        Path(path).read_text(encoding="utf-8")
+        raise
+    text = b"".join(chunks).decode("utf-8")
+    return text.replace("\r\n", "\n").replace("\r", "\n") if "\r" in text else text
 
 
 def make_dirs(path) -> None:
@@ -44,12 +65,17 @@ def make_dirs(path) -> None:
 
 @contextlib.contextmanager
 def staging():
-    """Yield ``stage(target)``, which opens a temporary UTF-8 text file; publish() all if the block succeeds."""
+    """Yield ``stage(target)``, which opens a temporary UTF-8 text file; publish() all if the block succeeds.
+
+    The files write surrogate escapes back as the bytes they stand for, so
+    a file name that is not UTF-8 is written as its raw bytes, as a
+    stdout with surrogate escapes writes it.
+    """
     with contextlib.ExitStack() as stack:
         files = {}
 
         def stage(target):
-            f = tempfile.TemporaryFile("w+", encoding="utf-8", newline="")
+            f = tempfile.TemporaryFile("w+", encoding="utf-8", newline="", errors="surrogateescape")
             files[target] = stack.enter_context(f)
             return f
 

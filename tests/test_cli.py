@@ -151,6 +151,23 @@ class TestClassifyCmd:
 
 
 class TestClassifyStreaming:
+    def test_out_writes_a_non_utf8_file_name_as_stdout_does(self, tmp_path):
+        # The name decodes to a lone surrogate; --out writes it back as the raw byte, as stdout does.
+        try:
+            with open(os.path.join(os.fsencode(tmp_path), b"lat\xe9.csv"), "w", encoding="utf-8") as f:
+                f.write(spectrum_csv(FIXTURES["plg"]))
+        except (OSError, UnicodeError):
+            pytest.skip("the filesystem refuses a file name that is not UTF-8")
+        pattern, out = str(tmp_path / "lat*.csv"), tmp_path / "o.csv"
+        assert main(["classify", pattern, "--out", str(out)]) == EX_OK
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src, "PYTHONIOENCODING": "utf-8:surrogateescape"}
+        child = subprocess.run([sys.executable, "-m", "spectraclass", "classify", pattern],
+                               capture_output=True, env=env, timeout=60)
+        assert child.returncode == EX_OK, child.stderr
+        assert out.read_bytes() == child.stdout
+        assert out.read_bytes().splitlines()[1].startswith(b"lat\xe9,,,PLG,")
+
     def test_error_line_names_the_path(self, tmp_path, monkeypatch, capsys):
         # Two files share the stem x; the batch CSV ids stay stems, since map reads them.
         monkeypatch.chdir(tmp_path)
