@@ -15,7 +15,7 @@ from . import files, pixmap, spatial, stats
 from .classify import UNK, classify_iter, compile_rules, harden, write_batch_csv
 from .errors import SpectraClassError
 from .rulebase import builtin_basalt, parse_rulebase, validate
-from .spectrum import parse_spectrum, scale_factor
+from .spectrum import number, parse_spectrum, scale_factor
 
 EX_OK = 0
 EX_FATAL = 1
@@ -33,10 +33,18 @@ class _ArgumentParser(argparse.ArgumentParser):
         self.exit(EX_USAGE, f"{self.prog}: error: {message}\n")
 
 
+def _float(text: str) -> float:
+    """argparse type for a number flag."""
+    return number(text)
+
+
+_float.__name__ = "float"  # argparse's usage error names the type: "invalid float value: '1_0'"
+
+
 def _positive_int(text: str) -> int:
     """argparse type for a count of at least 1."""
     try:
-        value = int(text)
+        value = number(text, int)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
     if value < 1:
@@ -260,9 +268,9 @@ def build_parser() -> argparse.ArgumentParser:
                             f"(default from ${RULES_ENV} if set and not empty)")
 
     def add_overrides(p):
-        p.add_argument("--epsilon", type=float, default=None,
+        p.add_argument("--epsilon", type=_float, default=None,
                        help="override m/z match window")
-        p.add_argument("--nu", type=float, default=None,
+        p.add_argument("--nu", type=_float, default=None,
                        help="override minimum membership for a hard label")
 
     p = sub.add_parser("classify", help="classify spectra and write a batch CSV")
@@ -285,8 +293,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("map", help="render classification maps with neighbor smoothing")
     p.add_argument("input", type=_path, help="grid CSV (batch CSV with topology headers)")
-    p.add_argument("--nu", type=float, default=0.5, help="hard-label threshold (default 0.5)")
-    p.add_argument("--floor", type=float, default=None,
+    p.add_argument("--nu", type=_float, default=0.5, help="hard-label threshold (default 0.5)")
+    p.add_argument("--floor", type=_float, default=None,
                    help="keep a spot UNK when its best smoothed value is below this")
     p.add_argument("--topology", choices=tuple(spatial.TOPOLOGY_ALIASES), default=None,
                    help="override the topology declared in the input headers")
@@ -311,6 +319,8 @@ def main(argv=None) -> int:
 
 
 def run():
+    # File names that are not UTF-8 reach stdout as surrogate escapes: write their raw bytes, as --out does.
+    sys.stdout.reconfigure(errors="surrogateescape")
     raise SystemExit(main())
 
 

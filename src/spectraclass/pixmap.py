@@ -5,6 +5,8 @@ from __future__ import annotations
 from itertools import repeat
 from operator import mul
 
+from .spectrum import number
+
 # Fixed palette for the basalt classes; UNK renders black.
 BASALT_PALETTE = {
     "ILM": (200, 40, 40),
@@ -59,7 +61,7 @@ def load_palette(text: str):
         if code in pal:
             raise ValueError(f"palette line {lineno}: code {code!r} set twice")
         try:
-            r, g, b = (int(v) for v in rgb)
+            r, g, b = (number(v, int) for v in rgb)
         except ValueError:
             raise ValueError(f"palette line {lineno}: non-integer channel") from None
         if not all(0 <= v <= 255 for v in (r, g, b)):

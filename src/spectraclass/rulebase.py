@@ -13,7 +13,7 @@ from importlib import resources
 
 from .errors import DomainError, DuplicateName, InvalidThresholds, ParseError, UnknownTerm
 from .fuzzy import And, MembershipFn, Not, Or, Term, term_names
-from .spectrum import IonTarget
+from .spectrum import IonTarget, number
 from .value import Frozen, Value
 
 UNK = "UNK"  # label of a spectrum no class claims; reserved as a class code
@@ -82,7 +82,7 @@ class Diagnostic(Frozen):
 _TOKEN_RE = re.compile(
     r'"[^"\n]*"'
     r"|[A-Za-z_][A-Za-z0-9_]*"
-    r"|[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?"
+    r"|[-+]?(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][-+]?[0-9]+)?"
     r"|[(){}\[\]=,]"
     r"|#.*"
     r"|\S"
@@ -115,7 +115,7 @@ def _tokenize(source):
                 kind = "PUNCT"
             else:
                 try:
-                    float(text)
+                    number(text)
                     kind = "NUMBER"
                 except ValueError:
                     raise ParseError(f"bad token {text!r}", line=lineno, col=col) from None
@@ -184,7 +184,7 @@ class _Parser:
         seen.add(name)
         self.expect(value="=")
         if name in ("epsilon", "nu"):
-            value = float(self.expect(kind="NUMBER").value)
+            value = number(self.expect(kind="NUMBER").value)
         elif name == "normalize_excluding":
             self.expect(value="[")
             symbols = [self.expect(kind="IDENT").value]
@@ -202,7 +202,7 @@ class _Parser:
         if sym_tok.value in rb.ions:
             raise DuplicateName(f"ion {sym_tok.value!r} declared twice", sym_tok.line, sym_tok.col)
         self.expect(value="=")
-        mz = float(self.expect(kind="NUMBER").value)
+        mz = number(self.expect(kind="NUMBER").value)
         _checked(sym_tok, IonTarget, sym_tok.value, mz)
         rb.ions[sym_tok.value] = mz
 
@@ -240,11 +240,11 @@ class _Parser:
                 self.expect(value=",")
                 self.expect(value="l")
                 self.expect(value="=")
-                l = float(self.expect(kind="NUMBER").value)
+                l = number(self.expect(kind="NUMBER").value)
                 self.expect(value=",")
                 self.expect(value="h")
                 self.expect(value="=")
-                h = float(self.expect(kind="NUMBER").value)
+                h = number(self.expect(kind="NUMBER").value)
                 self.expect(value=")")
                 ion = IonTarget(ion_tok.value, rb.ions[ion_tok.value])
                 terms[name_tok.value] = (ion, _checked(tok, MembershipFn, shape_tok.value, l, h))

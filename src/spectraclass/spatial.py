@@ -12,7 +12,7 @@ from typing import Optional
 
 from .classify import FMT_SPEC, UNK, harden_spots
 from .errors import DuplicateName, ParseError
-from .spectrum import _NOT_SKELETON
+from .spectrum import number, plain_columns
 from .value import Value
 
 RECTANGULAR = "rectangular"
@@ -147,7 +147,7 @@ def reclassify_map(grid: list, nu: float, floor: Optional[float] = None) -> Clas
 # ---------------------------------------------------------------------------
 # Grid CSV interchange: classify-batch CSV prefixed with topology headers.
 
-_HEADER_RE = re.compile(r"#\s*(topology|rows|cols)\s*:\s*(\S+)")
+_HEADER_RE = re.compile(r"#\s*(topology|rows|cols)\s*:\s*(\S.*)")  # all the (stripped) line holds after ":"
 _CHUNK = 1 << 16  # characters of grid text split into lines at a time
 _BLOCK = 256  # data lines read as one piece at most
 
@@ -204,8 +204,8 @@ def _grid_shape(meta: dict, has_columns: bool, error):
         if key not in meta:
             raise ParseError(f"missing grid header '# {key}:'")
     try:
-        rows = int(meta["rows"])
-        cols = int(meta["cols"])
+        rows = number(meta["rows"], int)
+        cols = number(meta["cols"], int)
     except ValueError:
         raise ParseError("rows/cols headers must be integers") from None
     if rows < 1 or cols < 1:
@@ -217,50 +217,28 @@ def _grid_shape(meta: dict, has_columns: bool, error):
     return TOPOLOGY_ALIASES.get(meta["topology"], meta["topology"]), rows, cols
 
 
-def _position(field: str) -> float:
-    """An x or y field's value: 0.0 if it is empty; ValueError as float() raises it."""
-    return float(field) if field.strip() else 0.0
-
-
-def _positions(fields) -> list:
-    """_position() of each field, by float() alone when no field is empty."""
-    try:
-        return list(map(float, fields))
-    except ValueError:
-        return list(map(_position, fields))
-
-
 def _block_columns(block, n_fields: int, mu_columns, kid, kx, ky):
     """The ``(ids, xs, ys, mus)`` columns of a block of data lines checked as one piece, or None.
 
-    None, to read the lines one by one, unless they are ASCII, hold no '"'
-    and no '#', have ``n_fields`` fields each, every numeric field reads by
-    float(), every membership column is in [0,1] with no nan, and every x
-    and y is finite: then the line loop would read them to the same
-    values. Any other block may hold an error, which only the line loop
-    reports.
+    None, to read the lines one by one, unless they hold no '"' and no
+    '#', plain_columns() reads the memberships and the x and y columns,
+    and every membership is in [0,1]: then the line loop would read them
+    to the same values. Any other block may hold an error, which only the
+    line loop reports.
     """
     text = "\n".join(block)
-    if not text.isascii() or '"' in text or "#" in text:
+    if '"' in text or "#" in text:
         return None
-    # splitlines() left no line break in a line, so the skeleton is the
-    # commas of each line, joined by "\n"; a blank line fails it too.
-    commas = b"," * (n_fields - 1)
-    if text.encode("ascii").translate(None, _NOT_SKELETON) != (commas + b"\n") * (len(block) - 1) + commas:
+    read = plain_columns(text, n_fields, mu_columns, [k for k in (kx, ky) if k is not None])
+    if read is None:
         return None
-    fields = text.replace("\n", ",").split(",")
-    n = len(block)
-    try:
-        mus = [list(map(float, fields[k::n_fields])) for k in mu_columns]
-        xs, ys = ([0.0] * n if k is None else _positions(fields[k::n_fields]) for k in (kx, ky))
-    except ValueError:
-        return None
+    fields, columns = read
+    mus, positions = columns[:len(mu_columns)], iter(columns[len(mu_columns):])
     for col in mus:
-        total = sum(col)  # nan if the column holds a nan, which min() and max() can step over
-        if not (total == total and 0.0 <= min(col) and max(col) <= 1.0):
+        if not (0.0 <= min(col) and max(col) <= 1.0):  # plain_columns() ruled out nan
             return None
-    if not (math.isfinite(sum(xs)) and math.isfinite(sum(ys))):  # an overflowing sum reads by line too
-        return None
+    n = len(block)
+    xs, ys = ([0.0] * n if k is None else next(positions) for k in (kx, ky))
     ids = [""] * n if kid is None else list(map(str.strip, fields[kid::n_fields]))
     return ids, xs, ys, mus
 
@@ -338,7 +316,7 @@ def read_grid_rows(source):
                 else:
                     mus = [[] for _ in class_codes]
             else:
-                # float() ignores the whitespace around a field; ids are stripped.
+                # number() ignores the whitespace around a field; ids are stripped.
                 fields = line.split(",") if '"' not in line else _quoted_fields(line)
                 if fields is None:
                     error = ParseError("quoted field not closed", line=lineno)
@@ -347,9 +325,9 @@ def read_grid_rows(source):
                     error = ParseError(f"expected {n_fields} fields", line=lineno)
                     continue
                 try:
-                    mu = [float(fields[k]) for k in mu_columns]
-                    x = 0.0 if kx is None else _position(fields[kx])
-                    y = 0.0 if ky is None else _position(fields[ky])
+                    mu = [number(fields[k]) for k in mu_columns]
+                    x = 0.0 if kx is None or not fields[kx].strip() else number(fields[kx])
+                    y = 0.0 if ky is None or not fields[ky].strip() else number(fields[ky])
                 except ValueError:
                     error = ParseError("non-numeric field in grid row", line=lineno)
                     continue

@@ -7,7 +7,7 @@ from bisect import bisect_left, bisect_right
 from functools import cached_property
 from itertools import islice
 from operator import itemgetter, lt
-from typing import Iterable, Optional
+from typing import Iterable
 
 from .errors import CannotNormalize, DomainError, EmptySpectrum, ParseError
 from .value import Frozen
@@ -15,7 +15,7 @@ from .value import Frozen
 FULL_SCALE = 100.0
 
 # Every ASCII byte but the comma and the line breaks of str.splitlines();
-# deleting them leaves the skeleton that _parse_columns checks.
+# deleting them leaves the skeleton that plain_columns checks.
 _NOT_SKELETON = bytes(b for b in range(128) if chr(b) not in ",\n\r\x0b\x0c\x1c\x1d\x1e")
 
 
@@ -76,61 +76,85 @@ class Spectrum(Frozen):
         return max(p[1] for p in self.points)
 
 
+def number(text: str, kind=float):
+    """``kind(text)`` if ``text`` is in the number syntax of every input; else ValueError.
+
+    The syntax is float()'s or int()'s on ASCII text with no "_": Python's
+    own also takes "_" between digits and any Unicode digit. Each number
+    read from a file or a flag goes through here, or through plain_columns().
+    """
+    if not text.isascii() or "_" in text:
+        raise ValueError(f"not a number: {text!r}")
+    return kind(text)
+
+
+def plain_columns(text: str, n_fields: int, numeric, optional=()):
+    """The fields of plain CSV ``text`` and its number columns, or None to read the text line by line.
+
+    Plain text is ASCII, with ``n_fields`` fields on every line and "\\n"
+    its only line break. ``numeric`` and ``optional`` list the number
+    columns by index; every field of one is a number() as a float, but an
+    empty field of an ``optional`` column reads 0.0, and their sum is
+    finite, which rules out nan, inf and an overflowing field. Returns the
+    fields, row after row, and the float columns, ``numeric``'s first.
+    Text refused here may hold an error, which only a line loop reports.
+    """
+    if not text.isascii():
+        return None
+    # The skeleton must be n_fields - 1 commas on every line, joined by "\n". A total
+    # count is not enough: "1,2,3\n4" has two commas and two lines.
+    commas = b"," * (n_fields - 1)
+    skeleton = text.encode("ascii").translate(None, _NOT_SKELETON)
+    if skeleton != (commas + b"\n") * skeleton.count(b"\n") + commas:
+        return None
+    fields = text.replace("\n", ",").split(",")
+    # number()'s "_" rule, checked in the number columns only: other fields are free text.
+    if "_" in text and any("_" in "".join(fields[k::n_fields]) for k in (*numeric, *optional)):
+        return None
+    floats = []
+    try:
+        for k in numeric:
+            floats.append(list(map(float, fields[k::n_fields])))
+        for k in optional:
+            column = fields[k::n_fields]
+            if "" in column:  # an empty field reads 0.0
+                column = [f or "0" for f in column]
+            floats.append(list(map(float, column)))
+    except ValueError:
+        return None
+    # min() or max() could step over a nan; a sum cannot.
+    if not math.isfinite(sum(map(sum, floats))):
+        return None
+    return fields, floats
+
+
 def parse_spectrum(text: str, id="") -> Spectrum:
     """Parse a csv peak list, ``mz,abundance`` per line.
 
     Blank lines and ``#`` comments are skipped. Duplicate m/z rows merge
     keeping the maximum abundance.
 
-    Text with no ``#`` and no ``-`` whose every line holds exactly one
-    comma is read column-wise: all fields go through ``float`` in one
-    pass and are checked as whole columns. Any text that pass cannot take
-    as it stands is read line by line, which is also where every error
-    and its line number comes from. Both give the same points.
+    Text with no ``#`` and no ``-`` that plain_columns() takes is read
+    column-wise, and checked as whole columns. Any other text is read
+    line by line, which is also where every error and its line number
+    comes from. Both give the same points.
     """
-    if "#" not in text and "-" not in text:
-        s = _parse_columns(text, id)
-        if s is not None:
+    # With "#" and "-" ruled out, every field plain_columns() reads is at
+    # least +0.0 (an abundance of -0 needs the line loop's + 0.0).
+    read = "#" not in text and "-" not in text and plain_columns(text.removesuffix("\n"), 2, (0, 1))
+    if read:
+        mzs, abundances = read[1]
+        ascending = all(map(lt, mzs, islice(mzs, 1, None)))
+        if (mzs[0] if ascending else min(mzs)) > 0.0:
+            # The columns also seed the Spectrum's cached mzs and max_abundance.
+            if ascending:
+                s = Spectrum._trusted(tuple(zip(mzs, abundances)), id=id)
+                s.__dict__["mzs"] = mzs
+            else:
+                s = Spectrum._trusted(_merge(list(zip(mzs, abundances))), id=id)
+            s.__dict__["max_abundance"] = max(abundances)
             return s
     return _parse_lines(text, id)
-
-
-def _parse_columns(text: str, id) -> Optional[Spectrum]:
-    """The Spectrum of plain csv text from whole-column checks, or None to read it by line.
-
-    The caller has ruled out ``#`` and ``-``, so every finite field reads
-    at least +0.0 (an abundance of ``-0`` needs the line loop's + 0.0).
-    """
-    if not text.isascii():
-        return None
-    body = text[:-1] if text.endswith("\n") else text
-    # The commas and line breaks of the text must read ",\n,\n...,": one
-    # comma on every line, no blank line and "\n" the only line break. A
-    # total count is not enough: "1,2,3\n4" has two commas and two lines.
-    skeleton = body.encode("ascii").translate(None, _NOT_SKELETON)
-    if skeleton != b",\n" * (len(skeleton) // 2) + b",":
-        return None
-    try:
-        vals = list(map(float, body.replace("\n", ",").split(",")))
-    except ValueError:
-        return None
-    # A finite sum rules out nan, inf and an overflowing field; min() or
-    # max() could step over a nan.
-    if not sum(vals) < math.inf:
-        return None
-    mzs, abundances = vals[0::2], vals[1::2]
-    # The columns also seed the Spectrum's cached mzs and max_abundance.
-    if all(map(lt, mzs, islice(mzs, 1, None))):
-        if not mzs[0] > 0.0:
-            return None
-        s = Spectrum._trusted(tuple(zip(mzs, abundances)), id=id)
-        s.__dict__["mzs"] = mzs
-    elif min(mzs) > 0.0:
-        s = Spectrum._trusted(_merge(list(zip(mzs, abundances))), id=id)
-    else:
-        return None
-    s.__dict__["max_abundance"] = max(abundances)
-    return s
 
 
 def _parse_lines(text: str, id="") -> Spectrum:
@@ -144,8 +168,8 @@ def _parse_lines(text: str, id="") -> Spectrum:
         if len(parts) != 2:
             raise ParseError(f"expected 2 fields, got {len(parts)}", line=lineno)
         try:
-            mz = float(parts[0])
-            ab = float(parts[1])
+            mz = number(parts[0])
+            ab = number(parts[1])
         except ValueError:
             raise ParseError(f"non-numeric field in {line!r}", line=lineno) from None
         if not (0.0 <= ab < math.inf and 0.0 < mz < math.inf):

@@ -34,7 +34,7 @@ from spectraclass.spatial import (
     _lines,
     _quoted_fields,
 )
-from spectraclass.spectrum import window_slice
+from spectraclass.spectrum import number, window_slice
 
 
 def membership(fn, p: float) -> float:
@@ -219,7 +219,7 @@ def read_grid_rows_by_line(source):
             except ParseError as exc:
                 error = exc
         else:
-            # float() ignores the whitespace around a field; ids are stripped.
+            # number() ignores the whitespace around a field; ids are stripped.
             fields = line.split(",") if '"' not in line else _quoted_fields(line)
             if fields is None:
                 error = ParseError("quoted field not closed", line=lineno)
@@ -228,9 +228,9 @@ def read_grid_rows_by_line(source):
                 error = ParseError(f"expected {n_fields} fields", line=lineno)
                 continue
             try:
-                mu = [float(fields[k]) for k in mu_columns]
-                x = float(fields[kx]) if kx is not None and fields[kx].strip() else 0.0
-                y = float(fields[ky]) if ky is not None and fields[ky].strip() else 0.0
+                mu = [number(fields[k]) for k in mu_columns]
+                x = number(fields[kx]) if kx is not None and fields[kx].strip() else 0.0
+                y = number(fields[ky]) if ky is not None and fields[ky].strip() else 0.0
             except ValueError:
                 error = ParseError("non-numeric field in grid row", line=lineno)
                 continue

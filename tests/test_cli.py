@@ -150,20 +150,32 @@ class TestClassifyCmd:
         assert flag[2:] in capsys.readouterr().err
 
 
+def non_utf8_file(root, name: bytes):
+    """Write a spectrum to ``root``/``name`` and its directory; skip where the filesystem refuses the name."""
+    path = os.path.join(os.fsencode(root), name)
+    try:
+        os.makedirs(os.path.dirname(path), exist_ok=True)
+        with open(path, "w", encoding="utf-8") as f:
+            f.write(spectrum_csv(FIXTURES["plg"]))
+    except (OSError, UnicodeError):
+        pytest.skip("the filesystem refuses a file name that is not UTF-8")
+
+
+def strict_stdout_run(*argv):
+    """The CLI run in a child process whose stdout is strict UTF-8, as in most UTF-8 locales."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src, "PYTHONIOENCODING": "utf-8:strict"}
+    return subprocess.run([sys.executable, "-m", "spectraclass", *argv], capture_output=True, env=env, timeout=60)
+
+
 class TestClassifyStreaming:
     def test_out_writes_a_non_utf8_file_name_as_stdout_does(self, tmp_path):
-        # The name decodes to a lone surrogate; --out writes it back as the raw byte, as stdout does.
-        try:
-            with open(os.path.join(os.fsencode(tmp_path), b"lat\xe9.csv"), "w", encoding="utf-8") as f:
-                f.write(spectrum_csv(FIXTURES["plg"]))
-        except (OSError, UnicodeError):
-            pytest.skip("the filesystem refuses a file name that is not UTF-8")
+        # The name decodes to a lone surrogate; --out writes it back as the raw byte, as stdout
+        # does, even where stdout is strict.
+        non_utf8_file(tmp_path, b"lat\xe9.csv")
         pattern, out = str(tmp_path / "lat*.csv"), tmp_path / "o.csv"
         assert main(["classify", pattern, "--out", str(out)]) == EX_OK
-        src = str(Path(cli.__file__).resolve().parents[1])
-        env = {**os.environ, "PYTHONPATH": src, "PYTHONIOENCODING": "utf-8:surrogateescape"}
-        child = subprocess.run([sys.executable, "-m", "spectraclass", "classify", pattern],
-                               capture_output=True, env=env, timeout=60)
+        child = strict_stdout_run("classify", pattern)
         assert child.returncode == EX_OK, child.stderr
         assert out.read_bytes() == child.stdout
         assert out.read_bytes().splitlines()[1].startswith(b"lat\xe9,,,PLG,")
@@ -374,6 +386,12 @@ class TestStatsCmd:
         assert (out / "AGT_report.csv").exists()
         captured = capsys.readouterr()
         assert "vs ensemble" in captured.out
+
+    def test_non_utf8_group_name_on_a_strict_stdout(self, tmp_path):
+        non_utf8_file(tmp_path, b"lat\xe9/s.csv")
+        child = strict_stdout_run("stats", str(tmp_path / "lat*" / "*.csv"), "--group-by", "directory")
+        assert child.returncode == EX_OK, child.stderr
+        assert child.stdout.startswith(b"== lat\xe9 (1 spectra) vs ensemble (1) ==\n")
 
     def test_group_by_directory(self, spectra_dir, tmp_path):
         out = tmp_path / "reports"
@@ -1121,3 +1139,53 @@ class TestFuzzedArguments:
                 os.chdir(cwd)
         assert code in (EX_OK, EX_FATAL, EX_PARTIAL, EX_USAGE), (argv, err.getvalue())
         assert "Traceback" not in err.getvalue()
+
+
+PLAIN_GRID = GRID.format(rows="\n".join(f"s{i},{i % 3},{i // 3},X,0,0,0.9,0,0" for i in range(9)))
+PROBE_RULES = ('rulebase "x"\nion Al = ٢٧\n'
+               'class X "x" {\n  term al = high ( Al , l = 10 , h = 90 )\n  expr = al\n}\n')
+# Numbers Python's float() or int() reads but the input syntax refuses, one through each reader:
+# {file name: text}, argv, exit code, a line of stderr; {d} is the directory of the files.
+NUMBER_PROBES = {
+    "spectrum-columns-mz": ({"s.csv": "1_0,5\n"}, ["classify", "{d}/s.csv"], EX_PARTIAL,
+                            "error: {d}/s.csv: non-numeric field in '1_0,5' (line 1)"),
+    "spectrum-columns-abundance": ({"s.csv": "26.98,3\n55.954,4_0\n"}, ["classify", "{d}/s.csv"], EX_PARTIAL,
+                                   "error: {d}/s.csv: non-numeric field in '55.954,4_0' (line 2)"),
+    "spectrum-lines": ({"s.csv": "# peaks\n١٠,5\n"}, ["classify", "{d}/s.csv"], EX_PARTIAL,
+                       "error: {d}/s.csv: non-numeric field in '١٠,5' (line 2)"),
+    "spectrum-lines-fullwidth": ({"s.csv": "１,5\n"}, ["classify", "{d}/s.csv"], EX_PARTIAL,
+                                 "error: {d}/s.csv: non-numeric field in '１,5' (line 1)"),
+    "grid-block": ({"g.csv": PLAIN_GRID.replace("s4,1,1,", "s4,1_0,1,")}, ["map", "{d}/g.csv", "--out", "{d}/m"],
+                   EX_FATAL, "spectraclass: error: {d}/g.csv: non-numeric field in grid row (line 9)"),
+    "grid-line": ({"g.csv": PLAIN_GRID.replace("s4,1,1,X,0,0,0.9", "# note\ns4,1,1,X,0,0,0.9_0")},
+                  ["map", "{d}/g.csv", "--out", "{d}/m"],
+                  EX_FATAL, "spectraclass: error: {d}/g.csv: non-numeric field in grid row (line 10)"),
+    "grid-header": ({"g.csv": PLAIN_GRID.replace("# cols: 3", "# cols: 1_0")}, ["map", "{d}/g.csv", "--out", "{d}/m"],
+                    EX_FATAL, "spectraclass: error: {d}/g.csv: rows/cols headers must be integers"),
+    "palette": ({"g.csv": PLAIN_GRID, "p.txt": "AGT ١ 0 0\n"},
+                ["map", "{d}/g.csv", "--palette", "{d}/p.txt", "--out", "{d}/m"],
+                EX_FATAL, "spectraclass: error: {d}/p.txt: palette line 1: non-integer channel"),
+    "rules": ({"s.csv": "26.98,5\n", "r.rules": PROBE_RULES}, ["classify", "{d}/s.csv", "--rules", "{d}/r.rules"],
+              EX_FATAL, "spectraclass: error: {d}/r.rules: bad token '٢' (line 2, col 10)"),
+    "epsilon": ({"s.csv": "26.98,5\n"}, ["classify", "{d}/s.csv", "--epsilon", "1_0"], EX_USAGE,
+                "spectraclass classify: error: argument --epsilon: invalid float value: '1_0'"),
+    "nu": ({"s.csv": "26.98,5\n"}, ["classify", "{d}/s.csv", "--nu", "١"], EX_USAGE,
+           "spectraclass classify: error: argument --nu: invalid float value: '١'"),
+    "floor": ({"g.csv": PLAIN_GRID}, ["map", "{d}/g.csv", "--out", "{d}/m", "--floor", "0_5"], EX_USAGE,
+              "spectraclass map: error: argument --floor: invalid float value: '0_5'"),
+    "workers": ({"s.csv": "26.98,5\n"}, ["classify", "{d}/s.csv", "--workers", "1_0"], EX_USAGE,
+                "spectraclass classify: error: argument --workers: invalid int value: '1_0'"),
+}
+
+
+@pytest.mark.parametrize("inputs,argv,code,line", NUMBER_PROBES.values(), ids=NUMBER_PROBES)
+def test_one_number_syntax_for_every_input(tmp_path, capsys, inputs, argv, code, line):
+    for name, text in inputs.items():
+        (tmp_path / name).write_text(text, encoding="utf-8")
+    try:
+        exit_code = main([arg.format(d=tmp_path) for arg in argv])
+    except SystemExit as exc:
+        exit_code = exc.code
+    assert exit_code == code
+    assert line.format(d=tmp_path) in capsys.readouterr().err.splitlines()
+    assert not (tmp_path / "m").exists()

@@ -159,3 +159,48 @@ def test_only_files_module_opens_files(path):
     # files.py is the one module that opens an input or stages an output.
     if path.name != "files.py":
         assert file_access(path.read_text(encoding="utf-8")) == []
+
+
+def number_conversions(source: str) -> list:
+    """``function (line)`` of each use of the builtin float or int as a value in ``source``.
+
+    A call such as ``float(text)`` counts, and so does a function passed on,
+    as in ``map(float, fields)``; an annotation does not, nor the kind that
+    ``number(text, int)`` is given.
+    """
+    found = []
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            scope = f"{scope}.{node.name}" if scope else node.name
+        if isinstance(node, ast.Name) and node.id in ("float", "int") and isinstance(node.ctx, ast.Load):
+            found.append(f"{scope or '<module>'} (line {node.lineno})")
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "number":
+            children = node.args[:1]
+        else:
+            children = [child for field, value in ast.iter_fields(node) if field not in ("annotation", "returns")
+                        for child in (value if isinstance(value, list) else [value])]
+        for child in children:
+            if isinstance(child, ast.AST):
+                visit(child, scope)
+
+    visit(ast.parse(source), "")
+    return found
+
+
+def test_finds_number_conversions():
+    source = ("def f(x: float) -> int:\n    return float(x)\n\nclass C:\n    def g(self, t):\n"
+              "        return list(map(int, t)), number(t, int)\n\ny: float = int\n")
+    assert number_conversions(source) == ["f (line 2)", "C.g (line 6)", "<module> (line 8)"]
+
+
+# number() reads every number of the input syntax, and plain_columns() whole columns of them;
+# Spectrum.__init__ and rulebase._fmt_num convert Python values, not text.
+NUMBER_READERS = {"spectrum.py": {"number", "plain_columns", "Spectrum.__init__"}, "rulebase.py": {"_fmt_num"}}
+
+
+@pytest.mark.parametrize("path", ALL_MODULES, ids=[p.name for p in ALL_MODULES])
+def test_text_becomes_a_number_only_through_number(path):
+    allowed = NUMBER_READERS.get(path.name, set())
+    found = number_conversions(path.read_text(encoding="utf-8"))
+    assert [place for place in found if place.partition(" ")[0] not in allowed] == []

@@ -20,7 +20,7 @@ from reference import (
     smoothed_membership,
     write_ppm,
 )
-from spectraclass import spatial
+from spectraclass import spatial, spectrum
 from spectraclass.classify import UNK, fmt
 from spectraclass.cli import main
 from spectraclass.errors import DuplicateName, ParseError
@@ -259,6 +259,18 @@ class TestGridIO:
         with pytest.raises(ParseError, match="rows/cols headers must be at least 1"):
             read_grid_csv(text)
 
+    @pytest.mark.parametrize("header,message", [
+        ("# rows: 2 x", "rows/cols headers must be integers"),
+        ("# cols: 2 junk", "rows/cols headers must be integers"),
+        ("# topology: hex grid", "unknown topology 'hex grid'"),
+    ])
+    def test_header_value_is_all_after_the_colon(self, header, message):
+        key = header.split(":")[0]
+        text = "".join(line if not line.startswith(key) else header + "\n"
+                       for line in GRID_CSV.splitlines(keepends=True))
+        with pytest.raises((ParseError, ValueError), match=message):
+            read_grid_csv(text)
+
 
 def reference_map(grid, nu, floor):
     """reclassify_map spelled out from smoothed_membership and harden_values."""
@@ -471,12 +483,14 @@ class TestMapCliReference:
 # Spellings of a spot line over classes A and B, {i} being its index.
 SPOT_LINES = ["s{i},{i},1,X,0,0.25,0.75", "s{i},-0,0,X,0,-0.0,1", "s{i},1e-7,123456789,X,0,1,0",
               "s{i},,,X,0,0.5,0.5", "  s{i} , 2 , 3 ,X,0, 0.5 ,0.125\t", '"s,{i}",0,0,X,0,0.5,0.5',
-              '"q{i}",1,1,X,0,0.5,0.5', "s\u00e9{i},0,0,X,0,0.5,0.5"]
+              '"q{i}",1,1,X,0,0.5,0.5', "s\u00e9{i},0,0,X,0,0.5,0.5", "s_{i},1,1,X_Y,0,0.5,0.5"]
 # Lines that hold no spot, or that end the run in an error.
 OTHER_LINES = ["", "  \t", "# a comment", "#s,0,0,X,0,0.5,0.5", "# cols: 3", "# rows: 2",
                "s,nan,0,X,0,0.5,0.5", "s,0,inf,X,0,0.5,0.5", "s,0,1e999,X,0,0.5,0.5", "s,0,0,X,0,nan,0.5",
                "s,0,0,X,0,1.5,0.5", "s,0,0,X,0,0.5,-0.25", "s,0,0,X,0,0.5", "s,0,0,X,0,0.5,0.5,7",
                "s,0,0,X,0,abc,0.5", '"s,0,0,X,0,0.5,0.5', ",,,", "s;0;0;X;0;0.5;0.5",
+               "s,0,0,X,0,0.5_0,0.5", "s,1_0,0,X,0,0.5,0.5", "s,\u0661\u0660,0,X,0,0.5,0.5",
+               "s,0,0,X,0,\uff11,0",
                "s,0,0,X,0,0.5,0.5,0.5\n0,0,X,0,0.5,0.5"]  # as many commas as two good lines
 
 
@@ -541,6 +555,21 @@ class TestBlockReading:
             rows = list(spatial.read_grid_rows(text))[1:]
         assert [call.args[0] for call in block_columns.call_args_list] == [["s,1,2,0.5"] * 3] * 2
         assert rows == [(["s"] * 3, [1.0] * 3, [2.0] * 3, [[0.5] * 3])] * 2
+
+    def test_ids_and_labels_holding_underscores_take_the_block_path(self):
+        # Only the number columns are held to number()'s syntax; ids and labels are free text.
+        text = "# topology: rect\n# rows: 2\n# cols: 3\nid,x,y,label,mu_A\n" + "".join(
+            f"spot_{i:02d},{i},0,X_Y,0.5\n" for i in range(6))
+        returned = []
+
+        def plain_columns(*args):
+            returned.append(spectrum.plain_columns(*args))
+            return returned[-1]
+
+        with mock.patch.object(spatial, "plain_columns", plain_columns):
+            rows = list(spatial.read_grid_rows(text))[1:]
+        assert len(returned) == 2 and None not in returned
+        assert [ids for ids, *_ in rows] == [["spot_00", "spot_01", "spot_02"], ["spot_03", "spot_04", "spot_05"]]
 
 
 class TestPositionBytes:

@@ -1,19 +1,21 @@
 import math
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, strategies as st
 
 from reference import peak_abundance, serialize_spectrum
+from spectraclass import spectrum
 from spectraclass.errors import (
     CannotNormalize,
     DomainError,
     EmptySpectrum,
     ParseError,
+    SpectraClassError,
 )
 from spectraclass.spectrum import (
     IonTarget,
     Spectrum,
-    _parse_columns,
     _parse_lines,
     normalize,
     parse_spectrum,
@@ -126,7 +128,7 @@ def parsed(parse, text):
 
 
 FIELDS = ["1", "2.5", "26.98", "55.95", "0", "0.0", "-0", "-1", "1e-3", "nan", "inf",
-          "-inf", "1e999", "1e308", "1_0", " 3 ", "abc", ""]
+          "-inf", "1e999", "1e308", "1_0", "0.5_0", "\u0661\u0660", "\uff11", " 3 ", "abc", ""]
 
 
 @st.composite
@@ -162,17 +164,28 @@ class TestColumnParse:
         assert parsed(parse_spectrum, text) == \
             parsed(_parse_lines, text)
 
+    @staticmethod
+    def read_by_line(text):
+        """Whether parse_spectrum(text) reads ``text`` through the line loop."""
+        with mock.patch.object(spectrum, "_parse_lines", wraps=_parse_lines) as parse_lines:
+            try:
+                parse_spectrum(text)
+            except SpectraClassError:
+                pass
+        return parse_lines.called
+
     @given(spectra())
     def test_plain_text_takes_column_pass(self, s):
         text = serialize_spectrum(s)
-        assert _parse_columns(text, "").points == s.points
+        assert not self.read_by_line(text)
+        assert parse_spectrum(text).points == s.points
 
     @pytest.mark.parametrize("text", [
         "1,2,3\n4", "26.98,40\n\n55.95,100", "26.98,40\r\n", "26.98,4é", "1,nan", "1,1e999",
-        "0,1", "2,1\n0,1", "1,abc", "",
+        "0,1", "2,1\n0,1", "1,abc", "", "1_0,5", "55.954,4_0", "\u0661\u0660,5", "\uff11,5",
     ])
     def test_falls_back(self, text):
-        assert _parse_columns(text, "") is None
+        assert self.read_by_line(text)
 
 
 class TestDirectConstruction:
