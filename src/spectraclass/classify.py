@@ -51,7 +51,7 @@ def compile_rules(rb: RuleBase):
     Every class expression is evaluated from windowed peak lookups
     through its membership terms, on the scale set by the rule base's
     normalization options. Each distinct ion m/z used by an expression
-    gets one window_slice(), looked up once per spectrum on the raw points
+    gets one window_slice(), looked up once per spectrum in the raw abundances
     and rescaled by scale_factor(): the same value, bit for bit, as a
     lookup in the normalized spectrum. A caller that already holds that
     factor, as stats does, passes it instead. Each term's membership is
@@ -84,16 +84,16 @@ def compile_rules(rb: RuleBase):
     def classify_spectrum(s: Spectrum, factor: Optional[float] = None) -> MembershipVector:
         if factor is None:
             factor = scale_factor(s, excluded, eps)
-        mzs, points = s.mzs, s.points
+        mzs, abundances = s.mzs, s.abundances
         p = []
         for mz in slots:
             lo, hi = window_slice(mzs, mz, eps)
             if lo >= hi:
                 p.append(0.0)
             elif hi - lo == 1:
-                p.append(points[lo][1] * factor)
+                p.append(abundances[lo] * factor)
             else:
-                p.append(max(ab for _, ab in points[lo:hi]) * factor)
+                p.append(max(abundances[lo:hi]) * factor)
         mu = []
         for slot, high, l, h, span in plan:
             x = p[slot]

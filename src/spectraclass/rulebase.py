@@ -131,6 +131,7 @@ class _Parser:
         self.tokens = tokens
         self.pos = 0
         self.depth = 0  # the "(" and "not" open around the token being read
+        self.excluded = []  # the ion tokens of normalize_excluding, checked once every ion is declared
 
     def peek(self):
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
@@ -157,7 +158,7 @@ class _Parser:
 
     # rulebase := "rulebase" STRING { option | ion | class }
     def rulebase(self):
-        self.expect(value="rulebase")
+        keyword = self.expect(value="rulebase")
         name = self.expect(kind="STRING").value[1:-1]
         rb = RuleBase(name=name, ions={}, classes=[], options=Options())
         seen_options = set()
@@ -174,6 +175,11 @@ class _Parser:
                     f"expected 'option', 'ion' or 'class', got {tok.value!r}",
                     tok.line, tok.col,
                 )
+        if not rb.classes:
+            raise ParseError("rule base has no classes", keyword.line, keyword.col)
+        for tok in self.excluded:  # checked last: an ion may be declared after the option
+            if tok.value not in rb.ions:
+                raise ParseError(f"normalize_excluding names undeclared ion {tok.value!r}", tok.line, tok.col)
         return rb
 
     def option(self, rb, seen):
@@ -187,12 +193,12 @@ class _Parser:
             value = number(self.expect(kind="NUMBER").value)
         elif name == "normalize_excluding":
             self.expect(value="[")
-            symbols = [self.expect(kind="IDENT").value]
+            self.excluded = [self.expect(kind="IDENT")]
             while self.peek() and self.peek().value == ",":
                 self.next()
-                symbols.append(self.expect(kind="IDENT").value)
+                self.excluded.append(self.expect(kind="IDENT"))
             self.expect(value="]")
-            value = tuple(symbols)
+            value = tuple(tok.value for tok in self.excluded)
         else:
             raise ParseError(f"unknown option {name!r}", name_tok.line, name_tok.col)
         rb.options = _checked(name_tok, rb.options.replace, **{name: value})
@@ -209,6 +215,9 @@ class _Parser:
     def class_rule(self, rb):
         code_tok = self.expect(kind="IDENT")
         code = code_tok.value
+        if code == UNK:
+            raise ParseError(f"class code {UNK!r} is reserved for the unknown label",
+                             code_tok.line, code_tok.col)
         if any(c.code == code for c in rb.classes):
             raise DuplicateName(f"class {code!r} declared twice", code_tok.line, code_tok.col)
         display = self.expect(kind="STRING").value[1:-1]
@@ -316,15 +325,15 @@ def _flatten(children, node_type):
 
 
 def parse_rulebase(source: str) -> RuleBase:
-    """Parse and validate rule-base DSL text."""
-    return require_valid(_Parser(_tokenize(source)).rulebase())
+    """Parse rule-base DSL text; the first error met raises as a ParseError at its line and column."""
+    return _Parser(_tokenize(source)).rulebase()
 
 
 # ---------------------------------------------------------------------------
 # Validation
 
 def validate(rb: RuleBase):
-    """Check how the rule base's values refer to each other; returns diagnostics, never raises."""
+    """Diagnostics, never raised, of how the values refer to each other; a parsed rule base has warnings only."""
     out = []
     if not rb.classes:
         out.append(Diagnostic("error", "rule base has no classes"))
@@ -362,14 +371,6 @@ def validate(rb: RuleBase):
             if name not in used:
                 out.append(Diagnostic("warning", f"class {cr.code!r} declares unused term {name!r}"))
     return out
-
-
-def require_valid(rb: RuleBase) -> RuleBase:
-    """Return ``rb`` unchanged, or raise validate()'s errors as one ParseError."""
-    errors = [d.message for d in validate(rb) if d.severity == "error"]
-    if errors:
-        raise ParseError("; ".join(errors))
-    return rb
 
 
 # ---------------------------------------------------------------------------

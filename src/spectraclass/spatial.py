@@ -147,7 +147,7 @@ def reclassify_map(grid: list, nu: float, floor: Optional[float] = None) -> Clas
 # ---------------------------------------------------------------------------
 # Grid CSV interchange: classify-batch CSV prefixed with topology headers.
 
-_HEADER_RE = re.compile(r"#\s*(topology|rows|cols)\s*:\s*(\S.*)")  # all the (stripped) line holds after ":"
+_HEADER_RE = re.compile(r"#\s*(topology|rows|cols)\s*:\s*(.*)")  # all the (stripped) line holds after ":"
 _CHUNK = 1 << 16  # characters of grid text split into lines at a time
 _BLOCK = 256  # data lines read as one piece at most
 
@@ -261,11 +261,11 @@ def read_grid_rows(source):
     _block_columns() reads each block whole. A block it refuses goes
     through the line loop, which alone raises errors.
 
-    A repeated header is raised at its line. Every other error is raised
-    after the last line, as if every header came first: a missing,
-    non-integer or sub-1 header, no data rows, the first malformed data
-    line, an unknown topology, a wrong spot count. So a row is known
-    good only once the generator is exhausted without error.
+    A repeated or empty header is raised at its line. Every other error
+    is raised after the last line, as if every header came first: a
+    missing, non-integer or sub-1 header, no data rows, the first
+    malformed data line, an unknown topology, a wrong spot count. So a
+    row is known good only once the generator is exhausted without error.
     """
     meta = {}
     has_columns = False
@@ -302,9 +302,12 @@ def read_grid_rows(source):
                 m = _HEADER_RE.match(line)
                 if not m:
                     continue
-                if m.group(1) in meta:
-                    raise DuplicateName(f"grid header '# {m.group(1)}:' set twice", line=lineno)
-                meta[m.group(1)] = m.group(2)
+                key, value = m.groups()
+                if key in meta:
+                    raise DuplicateName(f"grid header '# {key}:' set twice", line=lineno)
+                if not value:
+                    raise ParseError(f"grid header '# {key}:' has no value", line=lineno)
+                meta[key] = value
             elif error is not None:
                 continue
             elif not has_columns:

@@ -4,9 +4,8 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
-from functools import cached_property
 from itertools import islice
-from operator import itemgetter, lt
+from operator import lt
 from typing import Iterable
 
 from .errors import CannotNormalize, DomainError, EmptySpectrum, ParseError
@@ -36,11 +35,11 @@ class IonTarget(Frozen):
 class Spectrum(Frozen):
     """One acquisition spot: relative abundance versus m/z.
 
-    Points are finite and strictly sorted ascending by m/z with no
-    duplicates; abundances are non-negative. Instances are immutable, so
-    they are safe to share across parallel classification workers. The
-    fields live in the instance ``__dict__``, beside the cached ``mzs``
-    and ``max_abundance``.
+    Held as two finite columns in the instance ``__dict__``: the lists
+    ``mzs``, strictly ascending, and ``abundances``, non-negative, beside
+    ``max_abundance``, found once, and ``id``. ``points``, the pairs that
+    equality, repr and pickling use, is derived from the columns. Nothing
+    changes a column, so a Spectrum is safe to share across threads.
     """
 
     _fields = ("points", "id")
@@ -58,22 +57,21 @@ class Spectrum(Frozen):
                 raise DomainError(f"non-finite point ({mz}, {ab})")
             if i > 0 and mz <= pts[i - 1][0]:
                 raise DomainError("points must be strictly sorted by m/z")
-        self.__dict__.update(points=pts, id=id)
+        self._fill([mz for mz, _ in pts], [ab for _, ab in pts], id)
 
     @classmethod
-    def _trusted(cls, points: tuple, id: str = "") -> "Spectrum":
-        """A Spectrum from float points that already meet the invariants, unchecked."""
+    def _trusted(cls, mzs: list, abundances: list, id: str = "") -> "Spectrum":
+        """A Spectrum of float columns that already meet the invariants, unchecked."""
         s = object.__new__(cls)
-        s.__dict__.update(points=points, id=id)
+        s._fill(mzs, abundances, id)
         return s
 
-    @cached_property
-    def mzs(self):
-        return [p[0] for p in self.points]
+    def _fill(self, mzs: list, abundances: list, id: str) -> None:
+        self.__dict__.update(mzs=mzs, abundances=abundances, max_abundance=max(abundances), id=id)
 
-    @cached_property
-    def max_abundance(self):
-        return max(p[1] for p in self.points)
+    @property
+    def points(self) -> tuple:
+        return tuple(zip(self.mzs, self.abundances))
 
 
 def number(text: str, kind=float):
@@ -146,14 +144,9 @@ def parse_spectrum(text: str, id="") -> Spectrum:
         mzs, abundances = read[1]
         ascending = all(map(lt, mzs, islice(mzs, 1, None)))
         if (mzs[0] if ascending else min(mzs)) > 0.0:
-            # The columns also seed the Spectrum's cached mzs and max_abundance.
-            if ascending:
-                s = Spectrum._trusted(tuple(zip(mzs, abundances)), id=id)
-                s.__dict__["mzs"] = mzs
-            else:
-                s = Spectrum._trusted(_merge(list(zip(mzs, abundances))), id=id)
-            s.__dict__["max_abundance"] = max(abundances)
-            return s
+            if not ascending:
+                mzs, abundances = _merge(list(zip(mzs, abundances)))
+            return Spectrum._trusted(mzs, abundances, id)
     return _parse_lines(text, id)
 
 
@@ -177,16 +170,16 @@ def _parse_lines(text: str, id="") -> Spectrum:
         pts.append((mz, ab + 0.0))  # + 0.0 reads an abundance of -0 as 0
     if not pts:
         raise EmptySpectrum("no peaks in input")
-    return Spectrum._trusted(_merge(pts), id=id)
+    return Spectrum._trusted(*_merge(pts), id)
 
 
 def _merge(pts: list) -> tuple:
-    """Checked points sorted by m/z, each duplicate m/z kept once with its maximum abundance."""
+    """The ascending ``(mzs, abundances)`` of checked points; a duplicate m/z once, at its maximum."""
     pts.sort()
     # Sorted by (m/z, abundance), so the last row of each m/z, the one
     # dict() keeps, carries its maximum abundance.
     merged = dict(pts)
-    return tuple(pts) if len(merged) == len(pts) else tuple(merged.items())
+    return list(merged), list(merged.values())
 
 
 def _bad_row(mz: float, ab: float, lineno: int) -> DomainError:
@@ -207,9 +200,9 @@ def normalize(s: Spectrum, excluded: Iterable[IonTarget] = (), eps: float = 0.2)
     anomalously strong potassium signal before classification.
     """
     factor = scale_factor(s, excluded, eps)
-    # scale_factor() keeps every scaled point finite; a positive factor
-    # keeps them sorted and non-negative.
-    return Spectrum._trusted(tuple((mz, ab * factor) for mz, ab in s.points), id=s.id)
+    # scale_factor() keeps every scaled abundance finite, and a positive
+    # factor keeps them non-negative; the m/z column is shared.
+    return Spectrum._trusted(s.mzs, [ab * factor for ab in s.abundances], s.id)
 
 
 def window_slice(mzs, mz: float, eps: float) -> tuple:
@@ -235,14 +228,14 @@ def scale_factor(s: Spectrum, excluded: Iterable[IonTarget] = (), eps: float = 0
     ref = s.max_abundance
     windows = sorted(window_slice(s.mzs, ion.mz, eps) for ion in excluded)
     if windows:
-        kept, start = [], 0  # the points between the windows
+        kept, start = [], 0  # the abundances between the windows
         for lo, hi in windows:
-            kept += s.points[start:lo]
+            kept += s.abundances[start:lo]
             start = max(start, hi)
-        kept += s.points[start:]
+        kept += s.abundances[start:]
         if not kept:
             raise CannotNormalize("all points fall within excluded ion windows")
-        ref = max(kept, key=itemgetter(1))[1]
+        ref = max(kept)
     if ref == 0.0:
         raise CannotNormalize("all non-excluded abundances are zero")
     factor = FULL_SCALE / ref

@@ -66,7 +66,7 @@ def peak_list(s: Spectrum, eps: float, factor: float = 1.0):
     abundances = []
     prev_mz = None
     kept = 0.0  # abundances[-1]
-    for mz, ab in s.points:
+    for mz, ab in zip(s.mzs, s.abundances):
         ab *= factor
         if prev_mz is not None and mz - prev_mz <= eps:
             if ab > kept:

@@ -12,7 +12,9 @@
   render_membership_map() and write_ppm() draw whole maps; the files
   `map` writes row by row must equal them byte for byte;
 - serialize_spectrum() writes a spectrum as peak-list text that
-  spectrum.parse_spectrum() must read back exactly.
+  spectrum.parse_spectrum() must read back exactly, and
+  spectrum_fields() spells out the fields a Spectrum of given points
+  must hold.
 """
 
 import math
@@ -186,6 +188,16 @@ def serialize_spectrum(s) -> str:
     return "\n".join(f"{mz!r},{ab!r}" for mz, ab in s.points) + "\n"
 
 
+def spectrum_fields(points) -> str:
+    """repr() of ``(mzs, abundances, max_abundance, points)`` of a Spectrum of the checked ``points``.
+
+    repr() tells -0.0 from 0.0, so equal strings are equal bits.
+    """
+    points = tuple(points)
+    abundances = [ab for _, ab in points]
+    return repr(([mz for mz, _ in points], abundances, max(abundances), points))
+
+
 def read_grid_rows_by_line(source):
     """spatial.read_grid_rows() with every line read alone, as it was before it read blocks.
 
@@ -207,9 +219,12 @@ def read_grid_rows_by_line(source):
             m = _HEADER_RE.match(line)
             if not m:
                 continue
-            if m.group(1) in meta:
-                raise DuplicateName(f"grid header '# {m.group(1)}:' set twice", line=lineno)
-            meta[m.group(1)] = m.group(2)
+            key, value = m.groups()
+            if key in meta:
+                raise DuplicateName(f"grid header '# {key}:' set twice", line=lineno)
+            if not value:
+                raise ParseError(f"grid header '# {key}:' has no value", line=lineno)
+            meta[key] = value
         elif error is not None:
             continue
         elif not has_columns:

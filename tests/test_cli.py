@@ -371,11 +371,12 @@ class TestLoadRules:
         if spec == "file":
             spec = tmp_path / "basalt.rules"
             spec.write_text(serialize_rulebase(builtin_basalt()))
+        # The parser is the one validation pass: loading never walks the rule base again.
         calls = []
         validate = rulebase.validate
         monkeypatch.setattr(rulebase, "validate", lambda rb: calls.append(rb) or validate(rb))
         load_rules(str(spec))
-        assert len(calls) == 1
+        assert calls == []
 
 
 class TestStatsCmd:
@@ -753,6 +754,13 @@ class TestMapCmd:
                     "grid.csv: grid header '# rows:' set twice (line 11)")
         assert not (tmp_path / "m").exists()
 
+    def test_empty_header_fatal(self, tmp_path, capsys):
+        grid = grid_file(tmp_path)
+        grid.write_text(grid.read_text().replace("# cols: 3", "# cols:"))
+        self._fatal(["map", str(grid), "--out", str(tmp_path / "m")], capsys,
+                    "grid.csv: grid header '# cols:' has no value (line 3)")
+        assert not (tmp_path / "m").exists()
+
     def test_spacing_header_ignored(self, tmp_path):
         grid = grid_file(tmp_path)
         grid.write_text("# spacing: wide\n" + grid.read_text())
@@ -1010,6 +1018,14 @@ class TestValidateCmd:
         rules = tmp_path / "r.rules"
         rules.write_text(text)
         assert main(["validate-rules", "--rules", str(rules)]) == EX_FATAL
+
+    def test_reserved_class_code_names_its_line(self, tmp_path, capsys):
+        rules = tmp_path / "unk.rules"
+        rules.write_text('rulebase "x"\nion Fe = 55.954\n'
+                         'class UNK "unknown" {\n  term fe = high ( Fe , l = 1 , h = 40 )\n  expr = fe\n}\n')
+        assert main(["validate-rules", "--rules", str(rules)]) == EX_FATAL
+        assert capsys.readouterr().err == (f"spectraclass: error: {rules}: class code 'UNK' "
+                                           "is reserved for the unknown label (line 3, col 7)\n")
 
     @pytest.mark.parametrize("opener,closer", [("( ", " )"), ("not ", "")])
     def test_deep_nesting_is_an_error_not_a_traceback(self, tmp_path, opener, closer):

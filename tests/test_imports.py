@@ -1,5 +1,5 @@
 """Every import and top-level definition in the package's modules is used, the runtime is pure
-stdlib, and the CLI imports neither a thread pool nor dataclasses."""
+stdlib, the CLI imports neither a thread pool nor dataclasses, and spectra are read as columns."""
 
 import ast
 import os
@@ -204,3 +204,35 @@ def test_text_becomes_a_number_only_through_number(path):
     allowed = NUMBER_READERS.get(path.name, set())
     found = number_conversions(path.read_text(encoding="utf-8"))
     assert [place for place in found if place.partition(" ")[0] not in allowed] == []
+
+
+def column_bypasses(source: str) -> list:
+    """``what (line)`` of each ``.points`` read and each use of ``cached_property`` in ``source``, by line.
+
+    A Spectrum is its ``mzs`` and ``abundances`` columns: ``points`` builds a
+    tuple per peak, and a cached property would hold a second copy of them.
+    """
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute) and node.attr == "points" and isinstance(node.ctx, ast.Load):
+            found.append((node.lineno, ".points"))
+        elif "cached_property" in (getattr(node, "id", None), getattr(node, "attr", None),
+                                   node.name if isinstance(node, ast.alias) else None):
+            found.append((node.lineno, "cached_property"))
+    return [f"{what} (line {line})" for line, what in sorted(found)]
+
+
+def test_finds_column_bypasses():
+    source = ("from functools import cached_property\nimport functools\n\nclass C:\n    @cached_property\n"
+              "    def a(self):\n        return self.points[0]\n    b = functools.cached_property(len)\n"
+              "x.points = 1\ny = x.mzs\n")
+    assert column_bypasses(source) == ["cached_property (line 1)", "cached_property (line 5)",
+                                       ".points (line 7)", "cached_property (line 8)"]
+
+
+@pytest.mark.parametrize("path", ALL_MODULES, ids=[p.name for p in ALL_MODULES])
+def test_spectra_are_read_as_columns(path):
+    found = column_bypasses(path.read_text(encoding="utf-8"))
+    if path.name == "spectrum.py":  # where points is derived from the columns
+        found = [place for place in found if not place.startswith(".points")]
+    assert found == []

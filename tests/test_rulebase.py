@@ -18,7 +18,6 @@ from spectraclass.rulebase import (
     RuleBase,
     builtin_basalt,
     parse_rulebase,
-    require_valid,
     serialize_rulebase,
     validate,
 )
@@ -143,8 +142,10 @@ class TestParser:
         ("l = 1 , h = 40", "l = 5 , h = 5", 5, 3),
         ("h = 40", "h = 1e999", 5, 3),
         ("l = 1 , h = 40", "l = -1e308 , h = 1.5e308", 5, 3),
+        # Checked after the last statement: Fe, declared after the option, is found, K is not.
+        ('"tiny"', '"tiny"\noption normalize_excluding = [ Fe , K ]', 3, 37),
     ], ids=["epsilon-zero", "epsilon-inf", "nu-above-1", "ion-zero", "ion-inf",
-            "l-equals-h", "h-inf", "span-overflows"])
+            "l-equals-h", "h-inf", "span-overflows", "undeclared-excluded-ion"])
     def test_every_bad_value_gives_its_line(self, old, new, line, col):
         with pytest.raises(ParseError, match=rf" \(line {line}, col {col}\)$") as exc:
             parse_rulebase(MINIMAL.replace(old, new))
@@ -157,12 +158,18 @@ class TestParser:
         assert parse_rulebase(serialize_rulebase(rb)) == rb
 
     def test_unk_class_code_rejected(self):
-        with pytest.raises(ParseError, match="reserved"):
+        with pytest.raises(ParseError, match=r"^class code 'UNK' is reserved for the unknown label "
+                                             r"\(line 4, col 7\)$"):
             parse_rulebase(MINIMAL.replace('class X "', 'class UNK "'))
 
     def test_empty_rulebase_rejected(self):
-        with pytest.raises(ParseError, match="no classes"):
+        with pytest.raises(ParseError, match=r"^rule base has no classes \(line 1, col 1\)$"):
             parse_rulebase('rulebase "empty"\nion Fe = 55.954\n')
+        # With an undeclared excluded ion too, the first error in validate()'s order is raised.
+        with pytest.raises(ParseError) as exc:
+            parse_rulebase('# none\n  rulebase "empty"\noption normalize_excluding = [ K ]\n')
+        assert (str(exc.value), exc.value.line, exc.value.col) == \
+            ("rule base has no classes (line 2, col 3)", 2, 3)
 
 
 def nested_expr(openers, connective):
@@ -307,8 +314,6 @@ class TestValidate:
         rb.classes[0].terms["fe"] = (IonTarget("Fe", 60.0), MembershipFn("high", 1, 40))
         assert [(d.severity, d.message) for d in validate(rb)] == [
             ("error", "class 'X' term 'fe' looks at m/z 60.0, but ion 'Fe' is declared at 55.954")]
-        with pytest.raises(ParseError, match="looks at m/z 60.0"):
-            require_valid(rb)
 
     def test_non_finite_ion_in_dict_is_an_error(self):
         rb = self._tiny()

@@ -236,6 +236,18 @@ class TestGridIO:
             read_grid_csv(text)
         assert exc.value.line == 9
 
+    @pytest.mark.parametrize("line,key,value", [(1, "topology", "rectangular"), (2, "rows", 2), (3, "cols", 2)])
+    @pytest.mark.parametrize("malformed", [False, True], ids=["in-place", "after-a-malformed-line"])
+    def test_empty_header_rejected_at_its_line(self, line, key, value, malformed):
+        if malformed:  # moved to the end, after a data line whose error waits for the last line
+            text = GRID_CSV.replace(f"# {key}: {value}\n", "").replace("b,1,0,", "b,1,0,x,") + f"# {key}:\n"
+            line = 8
+        else:  # trailing spaces are no value either
+            text = GRID_CSV.replace(f"# {key}: {value}\n", f"# {key}:  \n")
+        with pytest.raises(ParseError, match=rf"^grid header '# {key}:' has no value \(line {line}\)$") as exc:
+            read_grid_csv(text)
+        assert exc.value.line == line
+
     def test_quoted_ids_read_as_csv_reader_reads_them(self):
         text = GRID_CSV.replace("a,0,0,", '"a,ILM",0,0,').replace("b,1,0,", '"b""q",1,0,')
         grid = read_grid_csv(text)

@@ -1,10 +1,12 @@
+import copy
 import math
+import pickle
 from unittest import mock
 
 import pytest
 from hypothesis import example, given, strategies as st
 
-from reference import peak_abundance, serialize_spectrum
+from reference import peak_abundance, serialize_spectrum, spectrum_fields
 from spectraclass import spectrum
 from spectraclass.errors import (
     CannotNormalize,
@@ -25,6 +27,11 @@ from spectraclass.spectrum import (
 K = IonTarget("K", 38.963)
 FE = IonTarget("Fe", 55.954)
 TI = IonTarget("Ti", 47.95)
+
+
+def fields(s) -> str:
+    """repr() of the columns, maximum and points of ``s``, as reference.spectrum_fields() has them."""
+    return repr((s.mzs, s.abundances, s.max_abundance, s.points))
 
 
 def spectra(min_size=1):
@@ -105,6 +112,15 @@ class TestParse:
         s = parse_spectrum("55.95,100\n26.98,10\n55.95,3\n26.98,70\n26.98,40")
         assert s.points == ((26.98, 70.0), (55.95, 100.0))
 
+    @pytest.mark.parametrize("text, points", [
+        ("26.98,40\n55.95,100\n", ((26.98, 40.0), (55.95, 100.0))),
+        ("55.95,100\n26.98,10\n55.95,3\n26.98,70", ((26.98, 70.0), (55.95, 100.0))),
+        ("26.98,-0\n55.95,100", ((26.98, 0.0), (55.95, 100.0))),
+    ], ids=["sorted", "unsorted-duplicate", "negative-zero"])
+    @pytest.mark.parametrize("parse", [parse_spectrum, _parse_lines], ids=["parse_spectrum", "line-loop"])
+    def test_columns_hold_the_points(self, parse, text, points):
+        assert fields(parse(text)) == spectrum_fields(points)
+
     @given(spectra())
     def test_parse_serialize_roundtrip(self, s):
         assert parse_spectrum(serialize_spectrum(s)) == Spectrum(s.points)
@@ -114,17 +130,21 @@ class TestParse:
         st.floats(min_value=0.0, allow_infinity=False),
         min_size=1, max_size=30))
     def test_serialize_parse_roundtrip_is_exact(self, points):
-        s = Spectrum(tuple(sorted(points.items())))
-        assert parse_spectrum(serialize_spectrum(s)).points == s.points
+        points = tuple(sorted(points.items()))
+        s = Spectrum(points)
+        assert fields(s) == spectrum_fields(points)
+        assert fields(parse_spectrum(serialize_spectrum(s))) == fields(s)
+        assert fields(pickle.loads(pickle.dumps(s))) == fields(copy.deepcopy(s)) == fields(s)
 
 
 def parsed(parse, text):
-    """What ``parse(text)`` gives, as comparable values: its points, mzs and maximum, or its error."""
+    """What ``parse(text)`` gives, as comparable values: its columns, maximum and points, or its error."""
     try:
         s = parse(text)
     except Exception as exc:
         return type(exc), str(exc)
-    return repr(s.points), s.mzs, repr(s.max_abundance)
+    assert fields(s) == spectrum_fields(s.points)
+    return fields(s)
 
 
 FIELDS = ["1", "2.5", "26.98", "55.95", "0", "0.0", "-0", "-1", "1e-3", "nan", "inf",
@@ -374,7 +394,7 @@ class TestPeakAbundance:
         if factor[0] != "ok":
             assert outcome(normalize, s, excluded, eps) == factor
             return
-        assert normalize(s, excluded, eps).points == old[1]
+        assert fields(normalize(s, excluded, eps)) == spectrum_fields(old[1])
         ion = IonTarget("X", ion_mz)
         assert peak_abundance(normalize(s, excluded, eps), ion, eps) == \
             peak_abundance(s, ion, eps) * factor[1]

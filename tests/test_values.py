@@ -91,3 +91,4 @@ def test_options_replace_checks_again():
 def test_unpickled_spectrum_is_checked_and_works():
     s = pickle.loads(pickle.dumps(Spectrum(((10, 2), (55.954, 40)), id="s1")))
     assert s.points == ((10.0, 2.0), (55.954, 40.0)) and s.mzs == [10.0, 55.954] and s.max_abundance == 40.0
+    assert s.abundances == [2.0, 40.0] and s.id == "s1"
