@@ -140,8 +140,7 @@ def cmd_stats(args) -> int:
         label = harden(classify_spectrum(raw, factor), rb.options.nu).label if by_label else None
         return stats.peak_list(raw, eps, factor), label
 
-    groups: dict = {}  # group key -> the m/z and abundance columns of its spectra's peaks
-    sizes = Counter()  # group key -> its number of spectra
+    groups: dict = {}  # group key -> one (m/z, abundance) array('d') column pair per spectrum
     group_dirs: dict = {}  # directory group key -> the directory it names
     for path in inputs:
         (mzs, abundances), key = _read_input(path, lambda text: read(text, files.stem(path)))
@@ -154,12 +153,9 @@ def cmd_stats(args) -> int:
                 raise SpectraClassError(
                     f"directories {str(first)!r} and {str(parent)!r} "
                     f"share the group name {key!r}")
-        columns = groups.setdefault(key, (array("d"), array("d")))
-        columns[0].fromlist(mzs)
-        columns[1].fromlist(abundances)
-        sizes[key] += 1
+        groups.setdefault(key, []).append((array("d", mzs), array("d", abundances)))
 
-    dbs, ensemble_db = stats.group_statdbs(groups, sizes, eps)
+    dbs, ensemble_db = stats.group_statdbs(groups, eps)
     out_dir = Path(args.out) if args.out else None
     if out_dir:
         files.make_dirs(out_dir)

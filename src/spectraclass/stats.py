@@ -8,7 +8,6 @@ means against ensemble means surfaces candidate key ions.
 from __future__ import annotations
 
 import math
-from array import array
 from bisect import bisect_left, bisect_right
 
 from .classify import fmt
@@ -81,100 +80,155 @@ def peak_list(s: Spectrum, eps: float, factor: float = 1.0):
     return mzs, abundances
 
 
-def merged_peaks(columns, batch: int = 256):
-    """The ``(mz, abundance)`` peaks of several peak columns, ascending.
+# sweep() samples every SWEEP_STRIDE-th peak of its columns, taken in
+# turn, and puts a step's bound at every n-th sample, where n is the
+# column count but at most SWEEP_STEP // SWEEP_STRIDE. A step then takes
+# about SWEEP_STRIDE peaks a column, or about SWEEP_STEP in all where
+# columns are many, and bisects each column once.
+SWEEP_STRIDE = 32
+SWEEP_STEP = 1 << 14
 
-    ``columns`` is a list of ``(mzs, abundances)`` sequence pairs, each
-    ascending by ``(mz, abundance)``, as peak_list() returns them. Equal
-    peaks come in the order of their columns, as from a stable sort of all
-    peaks (or ``heapq.merge``), so the merge is the same bit for bit,
-    signed zeros included. Peaks are paired and sorted one batch at a
-    time: every peak not yet given whose m/z is at most a bound, the
-    lowest over the columns of the m/z ``batch`` peaks ahead (or of the
-    column's last). So no list of every peak is built, and the merging is
-    done by ``list.sort`` in C, not one peak at a time in Python.
+
+def sweep(groups, feed) -> None:
+    """Feed each group's peaks, and all of them, ascending, one m/z step at a time.
+
+    ``groups`` is a list of groups, each a list of ``(mzs, abundances)``
+    column pairs ascending by ``(mz, abundance)``, as peak_list() returns
+    them. Each step calls ``feed(shares, every)``: ``shares[g]`` lists
+    group g's ``(mz, abundance)`` peaks whose m/z is at most the step's
+    bound, sorted; ``every`` is the shares of all groups chained in group
+    order and sorted again (``shares[0]`` itself when there is one group).
+    Every peak of an m/z falls in one step, and ``list.sort`` is stable,
+    so the steps chain to a stable sort of a group's peaks, and of every
+    peak in group order, bit for bit, signed zeros included. A step's
+    lists are dropped before the next is built.
     """
-    if len(columns) == 1:  # already in order
-        yield from zip(*columns[0])
-        return
+    columns = [pair for group in groups for pair in group]
+    samples = []
+    skip = SWEEP_STRIDE - 1  # peaks to pass before the next sample
+    for mzs, _ in columns:
+        samples += mzs[skip::SWEEP_STRIDE]
+        skip = (skip - len(mzs)) % SWEEP_STRIDE
+    samples.sort()
+    n = max(1, min(len(columns), SWEEP_STEP // SWEEP_STRIDE))
     starts = [0] * len(columns)
-    while True:
-        bound = min((mzs[min(start + batch, len(mzs)) - 1]
-                     for (mzs, _), start in zip(columns, starts) if start < len(mzs)),
-                    default=None)
-        if bound is None:
-            return
-        peaks = []
-        for i, (mzs, abundances) in enumerate(columns):
+    for bound in [*samples[n - 1::n], None]:  # None: the rest of every column
+        feed(*_step(groups, starts, bound))
+
+
+def _step(groups, starts, bound):
+    """``(shares, every)`` of one sweep() step, advancing ``starts`` past its peaks."""
+    shares = []
+    i = 0
+    for group in groups:
+        share = []
+        for mzs, abundances in group:
             start = starts[i]
-            end = starts[i] = bisect_right(mzs, bound, start)
-            peaks += zip(mzs[start:end], abundances[start:end])
-        peaks.sort()
-        yield from peaks
+            end = starts[i] = len(mzs) if bound is None else bisect_right(mzs, bound, start)
+            share += zip(mzs[start:end], abundances[start:end])
+            i += 1
+        share.sort()
+        shares.append(share)
+    if len(shares) == 1:
+        return shares, shares[0]
+    every = []
+    for share in shares:
+        every += share
+    every.sort()  # a merge of len(groups) sorted runs
+    return shares, every
+
+
+class _Bins:
+    """m/z bins of ascending ``(mz, abundance)`` peaks, taken a batch at a time.
+
+    A new bin opens whenever the incoming m/z exceeds the open bin's
+    running mean by more than eps. The open bin lives across batches and
+    becomes a StatBin when it closes; its center is ``phi_sum / c``.
+    """
+
+    __slots__ = ("eps", "bins", "open")
+
+    def __init__(self, eps: float):
+        self.eps = eps
+        self.bins = []
+        self.open = (0.0, 0, 0.0, 0.0, 0.0, 0.0)  # phi_sum, c, a_tot, a_tot2, a_max, a_min
+
+    def add(self, peaks) -> None:
+        eps = self.eps
+        bins = self.bins
+        phi_sum, c, a_tot, a_tot2, a_max, a_min = self.open
+        for mz, ab in peaks:
+            if c and mz - phi_sum / c <= eps:
+                phi_sum += mz
+                c += 1
+                a_tot += ab
+                a_tot2 += ab * ab
+                if ab > a_max:  # strict, as max() and min() keep the first value on ties
+                    a_max = ab
+                if ab < a_min:
+                    a_min = ab
+            else:
+                if c:
+                    bins.append(StatBin(phi_sum / c, c, a_tot, a_tot2, a_max, a_min))
+                phi_sum, c, a_tot, a_tot2, a_max, a_min = mz, 1, ab, ab * ab, ab, ab
+        self.open = (phi_sum, c, a_tot, a_tot2, a_max, a_min)
+
+    def statdb(self, n_spectra: int) -> StatDB:
+        """The bins, the open one closed, as a StatDB of ``n_spectra`` spectra."""
+        phi_sum, c, a_tot, a_tot2, a_max, a_min = self.open
+        if c:
+            self.bins.append(StatBin(phi_sum / c, c, a_tot, a_tot2, a_max, a_min))
+        return StatDB(bins=self.bins, n_spectra=n_spectra, eps=self.eps)
 
 
 def build_statdb(columns, n_spectra: int, eps: float) -> StatDB:
     """Accumulate consolidated peaks into m/z bins.
 
     ``columns`` holds the peaks of ``n_spectra`` spectra as ``(mzs,
-    abundances)`` column pairs, each ascending by ``(mz, abundance)``: one
-    peak_list() output per spectrum or, as ``stats`` passes them, one
-    sorted pair per group. Binning walks merged_peaks(columns) and opens
-    a new bin whenever the incoming m/z exceeds the current bin's running
-    mean by more than eps. So the bins compare equal whatever the order of
-    the columns.
+    abundances)`` column pairs, each ascending by ``(mz, abundance)``, one
+    peak_list() output per spectrum. The peaks are binned in the order of
+    one stable sort of them all, taken a sweep() step at a time, so no
+    list of every peak is built: a new bin opens whenever the incoming m/z
+    exceeds the current bin's running mean by more than eps. So the bins
+    compare equal whatever the order of the columns.
     """
     if n_spectra < 1:
         raise EmptyEnsemble("no spectra to accumulate")
-
-    # The open bin lives in locals and becomes a StatBin when it closes;
-    # its center is phi_sum / c, the running mean of its m/z values.
-    bins = []
-    c = 0
-    phi_sum = a_tot = a_tot2 = a_max = a_min = 0.0
-    for mz, ab in merged_peaks(columns):
-        if c and mz - phi_sum / c <= eps:
-            phi_sum += mz
-            c += 1
-            a_tot += ab
-            a_tot2 += ab * ab
-            if ab > a_max:  # strict, as max() and min() keep the first value on ties
-                a_max = ab
-            if ab < a_min:
-                a_min = ab
-        else:
-            if c:
-                bins.append(StatBin(phi_sum / c, c, a_tot, a_tot2, a_max, a_min))
-            phi_sum, c, a_tot, a_tot2, a_max, a_min = mz, 1, ab, ab * ab, ab, ab
-    if c:
-        bins.append(StatBin(phi_sum / c, c, a_tot, a_tot2, a_max, a_min))
-    return StatDB(bins=bins, n_spectra=n_spectra, eps=eps)
+    bins = _Bins(eps)
+    sweep([columns], lambda shares, every: bins.add(every))
+    return bins.statdb(n_spectra)
 
 
-def group_statdbs(groups: dict, sizes, eps: float):
-    """Bin each group's peaks, then all of them: ``({key: StatDB}, ensemble StatDB)``.
+def group_statdbs(groups: dict, eps: float):
+    """Bin each group's peaks, and all of them: ``({key: StatDB}, ensemble StatDB)``.
 
-    ``groups`` maps each group key to its spectra's peaks as two
-    ``array('d')`` columns, m/z and abundance, in any order; ``sizes``
-    maps the key to its number of spectra. The groups are taken in turn:
-    their columns become ``(mz, abundance)`` pairs, sorted, and stored
-    back into ``groups`` as sorted columns, which are then binned. So the
-    pairs of one group at most exist at any moment, and those of the
-    largest group set the peak: with few groups, as under ``stats
-    --group-by label``, that can come near the pairs of every peak. The
-    ensemble is binned from the merge of the sorted columns in
-    ``groups``' order, which gives the bins, bit for bit, of sorting every
-    peak in one list.
+    ``groups`` maps each group key to its spectra's peaks, one ``(mzs,
+    abundances)`` column pair per spectrum, as peak_list() gives them. One
+    sweep() up the m/z axis feeds every group's bins and the ensemble's,
+    so the peaks held as pairs at any moment are one step's, about
+    SWEEP_STRIDE a spectrum or SWEEP_STEP in all, however the spectra
+    split into groups. Each
+    DB is, bit for bit, that of one stable sort of its peaks (the
+    ensemble's in ``groups``' order). With one group, the ensemble is that
+    group's DB.
     """
-    dbs = {}
-    for key in groups:
-        peaks = sorted(zip(*groups[key]))
-        groups[key] = (array("d", [mz for mz, _ in peaks]),
-                       array("d", [ab for _, ab in peaks]))
-        del peaks  # before the next group's pairs are built
-        dbs[key] = build_statdb([groups[key]], sizes[key], eps)
-    ensemble = build_statdb(list(groups.values()), sum(sizes[key] for key in groups), eps)
-    return dbs, ensemble
+    if not groups or not all(groups.values()):
+        raise EmptyEnsemble("no spectra to accumulate")
+    if len(groups) == 1:
+        ((key, columns),) = groups.items()
+        db = build_statdb(columns, len(columns), eps)
+        return {key: db}, db
+    group_bins = [_Bins(eps) for _ in groups]
+    ensemble_bins = _Bins(eps)
+
+    def feed(shares, every):
+        for bins, share in zip(group_bins, shares):
+            bins.add(share)
+        ensemble_bins.add(every)
+
+    sweep(list(groups.values()), feed)
+    dbs = {key: bins.statdb(len(groups[key])) for key, bins in zip(groups, group_bins)}
+    return dbs, ensemble_bins.statdb(sum(len(columns) for columns in groups.values()))
 
 
 class ReportRow(Value):

@@ -544,7 +544,7 @@ class TestStatsCmd:
 
     def test_peak_grows_by_the_peak_columns(self, tmp_path, capsys):
         # A consolidated peak is held as 16 bytes of float columns; only one
-        # group's peaks at a time become (mz, abundance) pairs of about 112.
+        # sweep step's peaks at a time become (mz, abundance) pairs of about 112.
         n_dirs, n_peaks = 8, 250
         peaks = []
         for k, per_dir in enumerate((10, 20)):
@@ -560,6 +560,18 @@ class TestStatsCmd:
             finally:
                 tracemalloc.stop()
         extra_peaks = n_dirs * 10 * n_peaks
+        assert (peaks[1] - peaks[0]) / extra_peaks < 48, peaks
+
+    @pytest.mark.parametrize("group_by", ["directory", "label"])
+    def test_peak_does_not_grow_with_the_largest_group(self, tmp_path, group_by):
+        # One directory of 40 and of 160 spectra. Only one sweep step's
+        # peaks, about 32 a spectrum, are pairs at a time, however the
+        # spectra split into groups; a group's pairs would add about 150 B a peak.
+        n_peaks = 250
+        inputs = [str(stats_corpus(tmp_path / str(n), 1, n, n_peaks)) for n in (40, 160)]
+        peaks = cli_peaks(["stats", inputs[0], "--group-by", group_by],
+                          [["stats", path, "--group-by", group_by] for path in inputs])
+        extra_peaks = 120 * n_peaks
         assert (peaks[1] - peaks[0]) / extra_peaks < 48, peaks
 
 

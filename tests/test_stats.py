@@ -1,11 +1,14 @@
 import math
 import random
 from array import array
+from contextlib import contextmanager
+from itertools import chain
 
 import pytest
 from hypothesis import example, given, strategies as st
 
 from conftest import make_spectrum
+from spectraclass import stats
 from spectraclass.errors import EmptyEnsemble, IncompatibleDBs
 from spectraclass.spectrum import Spectrum
 from spectraclass.stats import (
@@ -14,8 +17,8 @@ from spectraclass.stats import (
     build_statdb,
     class_vs_ensemble_report,
     group_statdbs,
-    merged_peaks,
     peak_list,
+    sweep,
 )
 
 
@@ -227,19 +230,60 @@ EQUAL_ONCE_SCALED = Spectrum(((20.0, 1.0), (20.125, 1.0000000000000002)))
 STAT_FACTOR = st.one_of(st.sampled_from([1.0, 0.5, 100 / 3, 1e-310]), st.floats(1e-3, 1e3))
 
 
+# (SWEEP_STRIDE, SWEEP_STEP): strides down to one peak a column, and caps
+# down to two samples a step, make a few peaks take several steps.
+STAT_SWEEP = st.sampled_from([(1, 1 << 14), (1, 2), (2, 1 << 14), (3, 6), (4, 1 << 14),
+                              (stats.SWEEP_STRIDE, stats.SWEEP_STEP)])
+
+
+@contextmanager
+def strided(sweep_constants):
+    """sweep() under the ``(SWEEP_STRIDE, SWEEP_STEP)`` given."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(stats, "SWEEP_STRIDE", sweep_constants[0])
+        mp.setattr(stats, "SWEEP_STEP", sweep_constants[1])
+        yield
+
+
 def peak_columns(max_size=12):
     """(mzs, abundances) columns ascending by (mz, abundance); m/z repeat, zeros tie."""
     peaks = st.lists(st.tuples(GRID_MZ, STAT_ABUNDANCE), max_size=max_size).map(sorted)
     return peaks.map(lambda ps: ([mz for mz, _ in ps], [ab for _, ab in ps]))
 
 
-class TestMergedPeaks:
-    @given(st.lists(peak_columns(), max_size=5), st.integers(1, 4))
-    @example([([20.0, 20.0, 20.0], [-0.0, 0.0, 1.0]), ([20.0, 20.0], [0.0, -0.0])], 1)
-    def test_a_stable_sort_of_every_peak(self, columns, batch):
-        # Batches of one to four peaks a column cross runs of equal m/z.
-        every_peak = [p for mzs, abundances in columns for p in zip(mzs, abundances)]
-        assert exact(list(merged_peaks(columns, batch)), sorted(every_peak))
+class TestSweep:
+    @given(st.lists(st.lists(peak_columns(), max_size=4), max_size=4), STAT_SWEEP)
+    @example([[([20.0, 20.0, 20.0], [-0.0, 0.0, 1.0]), ([20.0, 20.0], [0.0, -0.0])],
+              [([20.0], [-0.0]), ([19.875, 20.0], [1.0, 0.0])]], (1, 2))
+    def test_steps_chain_to_a_stable_sort(self, groups, sweep_constants):
+        # Strides of one to four peaks a column put step bounds inside runs of equal m/z.
+        steps = []
+        with strided(sweep_constants):
+            sweep(groups, lambda shares, every: steps.append((shares, every)))
+        peaks = [[p for mzs, abundances in group for p in zip(mzs, abundances)] for group in groups]
+        assert exact(list(chain.from_iterable(every for _, every in steps)),
+                     sorted(chain.from_iterable(peaks)))
+        for g, group_peaks in enumerate(peaks):
+            assert exact(list(chain.from_iterable(shares[g] for shares, _ in steps)),
+                         sorted(group_peaks))
+
+    def test_steps_take_about_a_stride_of_peaks_a_column(self):
+        # 3 columns of 320 peaks at stride 32: 30 samples, a bound every 3rd.
+        columns = [([k + j / 4 for k in range(320)], [1.0] * 320) for j in range(3)]
+        steps = []
+        sweep([columns[:1], columns[1:]], lambda shares, every: steps.append(every))
+        assert len(steps) == 11
+        assert max(len(every) for every in steps) <= 2 * 3 * stats.SWEEP_STRIDE
+
+    def test_short_columns_are_sampled_in_turn_and_steps_capped(self):
+        # 100 columns of 7 peaks: every 32nd of the 700 in turn gives 21
+        # samples, and a cap of 320 peaks a step puts a bound at every 10th.
+        columns = [([k + j / 128 for k in range(7)], [1.0] * 7) for j in range(100)]
+        steps = []
+        with strided((stats.SWEEP_STRIDE, 320)):
+            sweep([columns], lambda shares, every: steps.append(len(every)))
+        assert len(steps) == 3
+        assert sum(steps) == 700 and max(steps) <= 2 * 320
 
 
 class TestAgainstFirstVersion:
@@ -254,37 +298,50 @@ class TestAgainstFirstVersion:
         scaled = Spectrum._trusted(s.mzs, [ab * factor for ab in s.abundances])
         assert exact(list(zip(*peak_list(s, eps, factor))), old_peak_list(scaled, eps))
 
-    @given(st.lists(stat_spectrum(), min_size=1, max_size=6), STAT_EPS)
-    @example(EXACT_EPS_GAP, 0.25)
-    @example(SIGNED_ZERO_TIES, 0.5)
-    @example(EQUAL_ABUNDANCES * 2, 0.125)
-    def test_build_statdb(self, spectra, eps):
-        assert_exact_db(statdb(spectra, eps), old_build_statdb(spectra, eps))
+    @given(st.lists(stat_spectrum(), min_size=1, max_size=6), STAT_EPS, STAT_SWEEP)
+    @example(EXACT_EPS_GAP, 0.25, (1, 2))
+    @example(SIGNED_ZERO_TIES, 0.5, (1, 2))
+    @example(EQUAL_ABUNDANCES * 2, 0.125, (1, 2))
+    def test_build_statdb(self, spectra, eps, sweep_constants):
+        with strided(sweep_constants):
+            db = statdb(spectra, eps)
+        assert_exact_db(db, old_build_statdb(spectra, eps))
 
     @given(st.lists(st.lists(stat_spectrum(), min_size=1, max_size=4), min_size=1, max_size=4),
-           STAT_EPS)
-    @example([EXACT_EPS_GAP, [EXACT_EPS_GAP[1]]], 0.25)
-    @example([SIGNED_ZERO_TIES[:1], SIGNED_ZERO_TIES[1:], SIGNED_ZERO_TIES], 0.5)
-    @example([EQUAL_ABUNDANCES, EQUAL_ABUNDANCES], 0.125)
-    @example([EQUAL_MZ_ACROSS_GROUPS[:1], EQUAL_MZ_ACROSS_GROUPS[1:]], 0.125)
-    def test_group_statdbs(self, groups, eps):
-        # Each group sorted on its own and the ensemble merged from them
-        # give the DBs of sorting every peak of the group, and of the run.
-        columns, sizes = {}, {}
-        for key, spectra in enumerate(groups):
-            mzs, abundances = columns[key] = (array("d"), array("d"))
-            for s in spectra:
-                m, a = peak_list(s, eps)
-                mzs.fromlist(m)
-                abundances.fromlist(a)
-            sizes[key] = len(spectra)
-        dbs, ensemble = group_statdbs(columns, sizes, eps)
+           STAT_EPS, STAT_SWEEP)
+    @example([EXACT_EPS_GAP, [EXACT_EPS_GAP[1]]], 0.25, (1, 2))
+    @example([SIGNED_ZERO_TIES[:1], SIGNED_ZERO_TIES[1:], SIGNED_ZERO_TIES], 0.5, (1, 2))
+    @example([EQUAL_ABUNDANCES, EQUAL_ABUNDANCES], 0.125, (1, 2))
+    @example([EQUAL_MZ_ACROSS_GROUPS[:1], EQUAL_MZ_ACROSS_GROUPS[1:]], 0.125, (1, 2))
+    def test_group_statdbs(self, groups, eps, sweep_constants):
+        # One sweep over each spectrum's columns gives the DBs of sorting
+        # every peak of the group, and of the run.
+        columns = {key: [tuple(array("d", c) for c in peak_list(s, eps)) for s in spectra]
+                   for key, spectra in enumerate(groups)}
+        with strided(sweep_constants):
+            dbs, ensemble = group_statdbs(columns, eps)
         assert list(dbs) == list(range(len(groups)))
         for key, spectra in enumerate(groups):
             assert_exact_db(dbs[key], old_build_statdb(spectra, eps))
-            mzs, abundances = columns[key]
-            assert list(zip(mzs, abundances)) == sorted(zip(mzs, abundances))
         assert_exact_db(ensemble, old_build_statdb([s for g in groups for s in g], eps))
+
+    @given(st.lists(stat_spectrum(), min_size=1, max_size=6), STAT_EPS, STAT_SWEEP)
+    @example(SIGNED_ZERO_TIES, 0.5, (1, 2))
+    def test_one_group_is_the_ensemble_binned_once(self, spectra, eps, sweep_constants):
+        binned = []
+        columns = [peak_list(s, eps) for s in spectra]
+        with strided(sweep_constants), pytest.MonkeyPatch.context() as mp:
+            mp.setattr(stats._Bins, "add", lambda bins, peaks, add=stats._Bins.add:
+                       binned.append(len(peaks)) or add(bins, peaks))
+            dbs, ensemble = group_statdbs({"g": columns}, eps)
+        assert_exact_db(ensemble, dbs["g"])
+        assert_exact_db(ensemble, old_build_statdb(spectra, eps))
+        assert sum(binned) == sum(len(mzs) for mzs, _ in columns)
+
+    def test_no_groups(self):
+        for groups in ({}, {"g": []}):
+            with pytest.raises(EmptyEnsemble):
+                group_statdbs(groups, 0.02)
 
     @given(st.lists(stat_spectrum(), min_size=1, max_size=6), STAT_EPS, st.randoms())
     def test_bins_do_not_depend_on_input_order(self, spectra, eps, rng):
